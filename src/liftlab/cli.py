@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from pathlib import Path
 
 import click
 
@@ -36,8 +37,8 @@ class InputError(Exception):
 
 def _read_document(path: str) -> dict:
     try:
-        raw = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
-    except OSError as exc:
+        raw = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}")
     try:
         doc = json.loads(raw)
@@ -64,7 +65,7 @@ def _space_from_doc(doc: dict, max_atoms: int):
     transform = None
     if doc.get("transform") is not None:
         table = doc["transform"]
-        if not isinstance(table, list) or not all(isinstance(v, int) for v in table):
+        if not isinstance(table, list) or not all(type(v) is int for v in table):
             raise InputError("'transform' must be a list of set bitmasks")
         try:
             transform = SetTransform(space, tuple(table))

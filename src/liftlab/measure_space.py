@@ -28,7 +28,7 @@ def bits(mask: int) -> Iterator[int]:
 def as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if type(value) in (int, str):  # not bool, which JSON true would be
         return Fraction(value)
     raise TypeError(f"cannot read {value!r} as an exact rational")
 

@@ -16,8 +16,8 @@ from .category_kernel import (cat_from_rpm, enumerate_functors,
                               hom_from_nat, named_categories, named_magmas,
                               nat_from_hom, rpm_from_cat, twin_category)
 from .filter_calculus import base_generation_oracle, principality_oracle
-from .lebesgue_diff import (kernel_from_lifting, random_total_fn, recovers,
-                            verify_theorem1)
+from .lebesgue_diff import (differentiates, kernel_from_lifting,
+                            random_total_fn, recovers, verify_theorem1)
 from .measure_algebra import (brute_force_liftings, enumerate_liftings,
                               sampled_lifting_oracle)
 from .measure_space import build_space
@@ -64,6 +64,9 @@ def _check_random_recovery(seed: int) -> dict:
         space = build_space(weights)
         for lifting in enumerate_liftings(space):
             kernel = kernel_from_lifting(space, lifting)
+            d = differentiates(space, kernel)
+            if not d:
+                return {"pass": False, "witness": jsonable(d.witness), "weights": weights}
             for _ in range(25):
                 f = random_total_fn(space, rng)
                 tried += 1

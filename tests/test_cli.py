@@ -52,6 +52,32 @@ class TestInputHandling:
         result = runner.invoke(main, ["space", "liftings", "-"], input=payload)
         assert result.exit_code == 0
 
+    def test_boolean_weight_is_input_error(self, runner, tmp_path):
+        doc = write(tmp_path, "bool.json",
+                    {"kind": "measure_space", "weights": [True, "1"]})
+        result = runner.invoke(main, ["space", "liftings", doc])
+        assert result.exit_code == 2
+        assert result.stderr.count("\n") == 1
+        assert "bad weights" in result.stderr
+
+    def test_boolean_transform_entry_is_input_error(self, runner, tmp_path):
+        doc = write(tmp_path, "bool.json",
+                    {"kind": "measure_space", "weights": ["1", "1"],
+                     "transform": [0, 1, 2, True]})
+        result = runner.invoke(main, ["space", "check", doc])
+        assert result.exit_code == 2
+        assert result.stderr.count("\n") == 1
+        assert "set bitmasks" in result.stderr
+
+    def test_non_utf8_document_is_input_error(self, runner, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"kind": "measure_space", "weights": ["1", "\xff"]}')
+        result = runner.invoke(main, ["space", "liftings", str(path)])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.stderr.count("\n") == 1
+        assert "cannot read" in result.stderr
+
     def test_missing_transform_for_check(self, runner, tmp_path):
         doc = write(tmp_path, "s1.json",
                     {"kind": "measure_space", "weights": ["1", "1", "0"]})

@@ -1,15 +1,22 @@
+import json
 import random
+from collections import Counter
 
 import pytest
+from click.testing import CliRunner
 
+import liftlab.lebesgue_diff as leb
+import liftlab.measure_algebra as ma
+from liftlab.cli import main
 from liftlab.filter_calculus import Filter, trivial_filter
-from liftlab.lebesgue_diff import (FilterKernel, basis_from_lifting,
-                                   differentiates, kernel_from_lifting,
-                                   lebesgue_transform, limiting_operator,
-                                   lower_density_from_kernel, random_total_fn,
-                                   recovers, separating_function,
-                                   verify_theorem1)
-from liftlab.measure_algebra import SetTransform, enumerate_liftings
+from liftlab.lebesgue_diff import (NOT_REACHED, FilterKernel,
+                                   basis_from_lifting, differentiates,
+                                   kernel_from_lifting, lebesgue_transform,
+                                   limiting_operator, lower_density_from_kernel,
+                                   random_total_fn, recovers,
+                                   separating_function, verify_theorem1)
+from liftlab.measure_algebra import (BooleanHom, SetTransform,
+                                     enumerate_liftings, identity_transform)
 from liftlab.measure_space import (averageable_sets, build_space,
                                    conditional_prob, indicator, partial_fn,
                                    total_fn)
@@ -230,3 +237,124 @@ class TestTheoremOne:
         report = verify_theorem1(no_null)
         assert len(report.entries) == 1
         assert report.all_pass
+
+
+#: Names the theorem-1 pipeline calls its stages and statements through.
+PIPELINE_NAMES = (
+    "kernel_from_lifting", "differentiates", "lower_density_from_kernel",
+    "lebesgue_transform", "limiting_operator", "lower_density_to_lifting",
+    "is_lower_density", "is_lifting", "lifting_to_right_inverse",
+    "is_boolean_homomorphism", "is_right_inverse",
+)
+
+
+def count_calls(monkeypatch) -> Counter:
+    """Swap each pipeline name, in every module that calls through it, for
+    a wrapper that counts its calls."""
+    counts: Counter = Counter()
+    for name in PIPELINE_NAMES:
+        original = getattr(leb, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (leb, ma):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+class TestTheoremOneCallCounts:
+    def test_each_statement_decided_once_per_lifting(self, monkeypatch):
+        sp = build_space([1, 0, 2, 5, 0, 1])
+        counts = count_calls(monkeypatch)
+        report = verify_theorem1(sp)
+        assert len(report.entries) == 16 and report.all_pass
+        per_lifting = {name: counts[name] / 16 for name in PIPELINE_NAMES}
+        # The second differentiates, is_lower_density and is_lifting are
+        # public functions checking their own input; one mean-value pass
+        # per kernel costs 2^n transforms, plus the separating function
+        # once per differentiates.
+        assert per_lifting == {
+            "kernel_from_lifting": 1, "differentiates": 2,
+            "lower_density_from_kernel": 1,
+            "lebesgue_transform": 2 ** 6 + 2, "limiting_operator": 2 ** 6 + 2,
+            "lower_density_to_lifting": 1, "is_lower_density": 2,
+            "is_lifting": 3, "lifting_to_right_inverse": 1,
+            "is_boolean_homomorphism": 1, "is_right_inverse": 1,
+        }
+
+
+def _trivial_kernel_stage(space, lifting):
+    return trivial_kernel(space)
+
+
+def _no_ambient_density_stage(space, kernel):
+    table = list(lower_density_from_kernel(space, kernel).table)
+    table[space.full_mask] = 0
+    return SetTransform(space, tuple(table))
+
+
+def _identity_lifting_stage(space, density):
+    return identity_transform(space)
+
+
+def _identity_section_stage(space, lifting):
+    return BooleanHom(space, {c: c for c in ma.algebra_classes(space)})
+
+
+def _swapped_section_stage(space, lifting):
+    # a Boolean hom that is no section: it swaps the positive atoms 0 and 1
+    rho = ma.lifting_to_right_inverse(space, lifting)
+
+    def swap(c):
+        return (c & ~3) | ((c & 1) << 1) | ((c >> 1) & 1)
+
+    return BooleanHom(space, {c: rho(swap(c)) for c in rho.table})
+
+
+#: Per entry field: the stage broken to make it fail, and a stand-in.
+FAULTS = {
+    "differentiates": ("kernel_from_lifting", _trivial_kernel_stage),
+    "lower_density": ("lower_density_from_kernel", _no_ambient_density_stage),
+    "lifting": ("lower_density_to_lifting", _identity_lifting_stage),
+    "boolean_homomorphism": ("lifting_to_right_inverse", _identity_section_stage),
+    "right_inverse": ("lifting_to_right_inverse", _swapped_section_stage),
+}
+FIELDS = tuple(FAULTS)
+
+
+class TestTheoremOneFaults:
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_broken_stage_is_reported_not_raised(self, s1, monkeypatch, field):
+        stage, broken = FAULTS[field]
+        monkeypatch.setattr(leb, stage, broken)
+        report = verify_theorem1(s1)
+        assert not report.all_pass
+        at = FIELDS.index(field)
+        for entry in report.entries:
+            out = entry.to_dict()
+            assert all(out[f]["holds"] for f in FIELDS[:at])
+            assert out[field]["holds"] is False
+            assert out[field]["witness"] is not None
+            assert all(out[f] == NOT_REACHED.to_dict() for f in FIELDS[at + 1:])
+            assert not entry.passed
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_cli_exits_one_with_the_witness(self, s1, monkeypatch, tmp_path, field):
+        stage, broken = FAULTS[field]
+        monkeypatch.setattr(leb, stage, broken)
+        witnesses = [e[field]["witness"]
+                     for e in verify_theorem1(s1).to_dict()["entries"]]
+        path = tmp_path / "s1.json"
+        path.write_text(json.dumps({"kind": "measure_space",
+                                    "weights": ["1", "1", "0"]}))
+        result = CliRunner().invoke(main, ["space", "theorem1", str(path),
+                                           "--format", "json"])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        report = json.loads(result.stdout)
+        assert report["status"] == "fail" and report["all_pass"] is False
+        assert [e[field]["witness"] for e in report["entries"]] == witnesses
+        assert report["lifting_count"] == 2

@@ -35,6 +35,11 @@ class TestBuildSpace:
         with pytest.raises(ValueError):
             build_space([1, -1])
 
+    def test_rejects_boolean_weight(self):
+        # bool is an int in Python; JSON true must not read as the weight 1
+        with pytest.raises(TypeError, match="exact rational"):
+            build_space([True, 1])
+
     def test_string_and_fraction_weights(self):
         sp = build_space(["1/2", "0.25", 3])
         assert sp.weights == (Fraction(1, 2), Fraction(1, 4), Fraction(3))

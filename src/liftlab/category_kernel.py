@@ -16,7 +16,7 @@ from itertools import product
 
 from .partial_magma import (PartialMagma, build_pm, classify, hmul,
                             matrix_magma, nat_subtraction_magma, units, vmul)
-from .verdict import InternalCheckError, Verdict
+from .verdict import CapacityError, InternalCheckError, Verdict
 
 ENUMERATION_CAP = 10_000_000
 
@@ -118,9 +118,6 @@ class TwinCategoryResult:
     category: FiniteCategory
     arrows: tuple[TwinArrow, ...]
 
-    def index_of(self, arrow: TwinArrow) -> int:
-        return self.arrows.index(arrow)
-
 
 def twin_category(cat: FiniteCategory) -> TwinCategoryResult:
     """The category whose objects are the arrows of ``cat`` and whose
@@ -193,7 +190,7 @@ def identity_functor(cat: FiniteCategory) -> Functor:
 def enumerate_functors(c: FiniteCategory, d: FiniteCategory) -> tuple[Functor, ...]:
     """Brute force over all arrow maps, filtered by the functor laws."""
     if d.pm.n ** c.pm.n > ENUMERATION_CAP:
-        raise ValueError("functor search space too large")
+        raise CapacityError("functor search space too large")
     out = []
     for assignment in product(range(d.pm.n), repeat=c.pm.n):
         f = Functor(c, d, assignment)
@@ -345,7 +342,7 @@ def enumerate_nat_homs(t: Functor, s: Functor) -> tuple[NatHom, ...]:
     for cands in pointwise:
         space *= len(cands)
         if space > ENUMERATION_CAP:
-            raise ValueError("transformation search space too large")
+            raise CapacityError("transformation search space too large")
     out = []
     for assignment in product(*pointwise):
         alpha = NatHom(t, s, assignment)
@@ -364,7 +361,7 @@ def enumerate_nat_trans(t: Functor, s: Functor) -> tuple[NatTrans, ...]:
     for cands in pointwise:
         space *= len(cands)
         if space > ENUMERATION_CAP:
-            raise ValueError("component search space too large")
+            raise CapacityError("component search space too large")
     out = []
     for comps in product(*pointwise):
         tau = NatTrans(t, s, comps)

@@ -2,11 +2,15 @@
 
 Reports go to stdout; diagnostics and timing go to stderr so that two runs
 with the same input and seed are byte-identical on stdout.  Exit codes:
-0 all checks pass, 1 a check failed (witness in the report), 2 bad input.
+0 all checks pass, 1 a check failed (witness in the report), 2 bad input
+(including a search refused as too large), 3 internal error (a theorem
+failed on concrete data, so the code is wrong).  Every command runs behind
+one exception boundary, ``_command``; exits 2 and 3 write one stderr line.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 import time
@@ -25,10 +29,10 @@ from .measure_algebra import (SetTransform, TransformProperty,
 from .measure_space import build_space
 from .partial_magma import (build_pm, classify, interchange_check,
                             single_unit_totality)
-from .suite import run_suite
-from .verdict import jsonable
+from .suite import natequiv_report, run_suite
+from .verdict import CapacityError, InternalCheckError, jsonable
 
-EXIT_PASS, EXIT_FAIL, EXIT_INPUT = 0, 1, 2
+EXIT_PASS, EXIT_FAIL, EXIT_INPUT, EXIT_INTERNAL = 0, 1, 2, 3
 
 
 class InputError(Exception):
@@ -42,7 +46,7 @@ def _read_document(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}")
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long ints, deep nesting
         raise InputError(f"invalid JSON: {exc}")
     if not isinstance(doc, dict) or "kind" not in doc:
         raise InputError("document must be a JSON object with a 'kind' field")
@@ -79,7 +83,7 @@ def _pm_from_doc(doc: dict, max_elems: int, kind: str):
         raise InputError(f"expected kind {kind!r}, got {doc['kind']!r}")
     n = doc.get("n")
     table = doc.get("table")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise InputError("'n' must be a positive integer")
     if n > max_elems:
         raise InputError(f"{n} elements exceeds the cap of {max_elems}; "
@@ -92,15 +96,15 @@ def _pm_from_doc(doc: dict, max_elems: int, kind: str):
         raise InputError(f"bad table: {exc}")
 
 
-def _emit(report: dict, fmt: str) -> None:
+def _emit(report: dict, fmt: str, text) -> None:
     payload = jsonable(report)
     if fmt == "json":
         click.echo(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        click.echo("\n".join(_text_lines(payload, 0)))
+        click.echo("\n".join(text(payload)))
 
 
-def _text_lines(obj, depth: int) -> list[str]:
+def _text_lines(obj, depth: int = 0) -> list[str]:
     pad = "  " * depth
     lines: list[str] = []
     if isinstance(obj, dict):
@@ -123,15 +127,12 @@ def _text_lines(obj, depth: int) -> list[str]:
     return lines
 
 
-def _finish(report: dict, fmt: str, started: float, ok: bool):
-    _emit(report, fmt)
-    click.echo(f"elapsed_seconds: {time.monotonic() - started:.2f}", err=True)
-    sys.exit(EXIT_PASS if ok else EXIT_FAIL)
-
-
-def _fail_input(exc: Exception):
-    click.echo(f"input error: {exc}", err=True)
-    sys.exit(EXIT_INPUT)
+def _report_lines(result: dict) -> list[str]:
+    checks = result["checks"]
+    return [f"{result['suite']} (version {result['version']}, "
+            f"seed {result['seed']}, quick={str(result['quick']).lower()})",
+            *(f"{'PASS' if c['pass'] else 'FAIL'} {c['name']}" for c in checks),
+            f"{sum(1 for c in checks if c['pass'])}/{len(checks)} checks passed"]
 
 
 def format_option(fn):
@@ -145,6 +146,37 @@ def seed_option(fn):
                         help="Seed for the randomized sub-checks.")(fn)
 
 
+def _command(group, name: str, text=_text_lines):
+    """Register the decorated body as ``group``'s command ``name``, behind
+    the CLI's only exception boundary.
+
+    The body validates its input and computes, then returns ``(report,
+    ok)``.  The boundary adds ``--format``, prints the report (``text``
+    renders the text format) and exits 0 if ``ok``, else 1; stderr gets the
+    elapsed time.  Bad input and refused capacity exit 2, and a failed
+    theorem exits 3, each with one stderr line and no report.
+    """
+    def register(body):
+        @functools.wraps(body)
+        def run(fmt, **params):
+            started = time.monotonic()
+            try:
+                report, ok = body(**params)
+            except (InputError, CapacityError) as exc:
+                code, line = EXIT_INPUT, f"input error: {exc}"
+            except InternalCheckError as exc:
+                code, line = EXIT_INTERNAL, f"internal error: {exc}"
+            else:
+                _emit(report, fmt, text)
+                code = EXIT_PASS if ok else EXIT_FAIL
+                line = f"elapsed_seconds: {time.monotonic() - started:.2f}"
+            click.echo(" ".join(line.splitlines()), err=True)
+            sys.exit(code)
+
+        return group.command(name)(format_option(run))
+    return register
+
+
 @click.group()
 def main():
     """Exhaustive finite-scale verification of measure-algebra liftings,
@@ -156,20 +188,14 @@ def space():
     """Checks on finite measure spaces and set transforms."""
 
 
-@space.command("check")
+@_command(space, "check")
 @click.argument("input_path")
-@format_option
 @click.option("--max-atoms", type=int, default=12, show_default=True)
-def space_check(input_path, fmt, max_atoms):
+def space_check(input_path, max_atoms):
     """Evaluate all nine transform properties plus the two bundles."""
-    started = time.monotonic()
-    try:
-        doc = _read_document(input_path)
-        sp, transform = _space_from_doc(doc, max_atoms)
-        if transform is None:
-            raise InputError("'space check' needs a 'transform' table")
-    except InputError as exc:
-        _fail_input(exc)
+    sp, transform = _space_from_doc(_read_document(input_path), max_atoms)
+    if transform is None:
+        raise InputError("'space check' needs a 'transform' table")
     properties = {p.value: check_property(transform, p) for p in TransformProperty}
     implications = implication_suite(transform)
     ok = (all(v.holds for v in properties.values())
@@ -183,24 +209,18 @@ def space_check(input_path, fmt, max_atoms):
         "implications": [r.to_dict() for r in implications],
         "status": "pass" if ok else "fail",
     }
-    _finish(report, fmt, started, ok)
+    return report, ok
 
 
-@space.command("liftings")
+@_command(space, "liftings")
 @click.argument("input_path")
-@format_option
 @seed_option
 @click.option("--max-atoms", type=int, default=12, show_default=True)
 @click.option("--oracle/--no-oracle", default=False,
               help="Also run the brute-force (or sampled) oracle.")
-def space_liftings(input_path, fmt, seed, max_atoms, oracle):
+def space_liftings(input_path, seed, max_atoms, oracle):
     """Enumerate all liftings and verify each one."""
-    started = time.monotonic()
-    try:
-        doc = _read_document(input_path)
-        sp, _ = _space_from_doc(doc, max_atoms)
-    except InputError as exc:
-        _fail_input(exc)
+    sp, _ = _space_from_doc(_read_document(input_path), max_atoms)
     liftings = enumerate_liftings(sp)
     verified = [bool(is_lifting(t)) for t in liftings]
     ok = all(verified)
@@ -212,40 +232,34 @@ def space_liftings(input_path, fmt, seed, max_atoms, oracle):
                       "table": list(t.table)} for t in liftings],
     }
     if oracle:
-        size = sp.full_mask + 1
-        if size ** size <= 1 << 24:
+        try:
             brute = brute_force_liftings(sp)
+        except CapacityError:
+            v = sampled_lifting_oracle(sp, samples=500, seed=seed)
+            report["oracle"] = {"mode": "sampled", **v.to_dict()}
+            ok = ok and bool(v)
+        else:
             agree = [t.table for t in brute] == sorted(t.table for t in liftings)
             report["oracle"] = {"mode": "exhaustive", "count": len(brute),
                                 "agrees": agree}
             ok = ok and agree
-        else:
-            v = sampled_lifting_oracle(sp, samples=500, seed=seed)
-            report["oracle"] = {"mode": "sampled", **v.to_dict()}
-            ok = ok and bool(v)
     report["status"] = "pass" if ok else "fail"
-    _finish(report, fmt, started, ok)
+    return report, ok
 
 
-@space.command("theorem1")
+@_command(space, "theorem1")
 @click.argument("input_path")
-@format_option
 @click.option("--max-atoms", type=int, default=12, show_default=True)
-def space_theorem1(input_path, fmt, max_atoms):
+def space_theorem1(input_path, max_atoms):
     """Run the full two-way lifting/limit-operator pipeline."""
-    started = time.monotonic()
-    try:
-        doc = _read_document(input_path)
-        sp, _ = _space_from_doc(doc, max_atoms)
-    except InputError as exc:
-        _fail_input(exc)
+    sp, _ = _space_from_doc(_read_document(input_path), max_atoms)
     rep = verify_theorem1(sp)
     ok = rep.all_pass
     report = {"command": "space theorem1",
               "notes": {"ultrafilter_tiebreak": "lowest-index"},
               **rep.to_dict(),
               "status": "pass" if ok else "fail"}
-    _finish(report, fmt, started, ok)
+    return report, ok
 
 
 @main.group()
@@ -253,18 +267,12 @@ def pm():
     """Checks on partial magmas."""
 
 
-@pm.command("classify")
+@_command(pm, "classify")
 @click.argument("input_path")
-@format_option
 @click.option("--max-elems", type=int, default=8, show_default=True)
-def pm_classify(input_path, fmt, max_elems):
+def pm_classify(input_path, max_elems):
     """Classify a partial magma (units, associativity, fastening)."""
-    started = time.monotonic()
-    try:
-        doc = _read_document(input_path)
-        magma = _pm_from_doc(doc, max_elems, "partial_magma")
-    except InputError as exc:
-        _fail_input(exc)
+    magma = _pm_from_doc(_read_document(input_path), max_elems, "partial_magma")
     c = classify(magma)
     report = {"command": "pm classify", "n": magma.n,
               "classification": c.to_dict()}
@@ -274,27 +282,21 @@ def pm_classify(input_path, fmt, max_elems):
         report["single_unit_totality"] = v.to_dict()
         ok = bool(v)
     report["status"] = "pass" if ok else "fail"
-    _finish(report, fmt, started, ok)
+    return report, ok
 
 
-@pm.command("interchange")
+@_command(pm, "interchange")
 @click.argument("input_path")
-@format_option
 @click.option("--max-elems", type=int, default=8, show_default=True)
-def pm_interchange(input_path, fmt, max_elems):
+def pm_interchange(input_path, max_elems):
     """Check the interchange law on all quadruples of pairs."""
-    started = time.monotonic()
-    try:
-        doc = _read_document(input_path)
-        magma = _pm_from_doc(doc, max_elems, "partial_magma")
-    except InputError as exc:
-        _fail_input(exc)
+    magma = _pm_from_doc(_read_document(input_path), max_elems, "partial_magma")
     if magma.n > 4:
         click.echo(f"warning: {magma.n}^8 quadruples; this may be slow", err=True)
     rep = interchange_check(magma, force=True)
     report = {"command": "pm interchange", "n": magma.n, **rep.to_dict(),
               "status": "pass" if rep.holds else "fail"}
-    _finish(report, fmt, started, rep.holds)
+    return report, rep.holds
 
 
 @main.group()
@@ -302,24 +304,17 @@ def cat():
     """Checks on finite categories."""
 
 
-@cat.command("twin")
+@_command(cat, "twin")
 @click.argument("input_path")
-@format_option
 @click.option("--max-elems", type=int, default=8, show_default=True)
-def cat_twin(input_path, fmt, max_elems):
+def cat_twin(input_path, max_elems):
     """Build the twin category and confirm it recaptures the hom-sets."""
-    started = time.monotonic()
-    try:
-        doc = _read_document(input_path)
-        magma = _pm_from_doc(doc, max_elems, "category")
-    except InputError as exc:
-        _fail_input(exc)
+    magma = _pm_from_doc(_read_document(input_path), max_elems, "category")
     try:
         base = cat_from_rpm(magma)
     except ValueError as exc:
-        report = {"command": "cat twin", "regular": False, "detail": str(exc),
-                  "status": "fail"}
-        _finish(report, fmt, started, False)
+        return {"command": "cat twin", "regular": False, "detail": str(exc),
+                "status": "fail"}, False
     tw = twin_category(base)
     recapture_ok = True
     for u in base.objects:
@@ -340,40 +335,33 @@ def cat_twin(input_path, fmt, max_elems):
         "hom_recapture": recapture_ok,
         "status": "pass" if ok else "fail",
     }
-    _finish(report, fmt, started, ok)
+    return report, ok
 
 
-@cat.command("natequiv")
+@_command(cat, "natequiv")
 @click.argument("input_path", required=False)
-@format_option
 @click.option("--source", "source_name", default=None,
               help="Named source category (1, 2, II, 3, SQ).")
 @click.option("--target", "target_name", default=None,
               help="Named target category.")
-def cat_natequiv(input_path, fmt, source_name, target_name):
+def cat_natequiv(input_path, source_name, target_name):
     """Count both encodings of transformations and verify the bijection."""
-    started = time.monotonic()
-    try:
-        if input_path:
-            doc = _read_document(input_path)
-            if doc["kind"] != "scenario" or doc.get("name") != "natequiv":
-                raise InputError("expected a scenario document named 'natequiv'")
-            source_name = doc.get("source", source_name)
-            target_name = doc.get("target", target_name)
-        if not source_name or not target_name:
-            raise InputError("need --source and --target (or a scenario document)")
-        if source_name not in named_categories() or target_name not in named_categories():
-            raise InputError(f"unknown category; pick from "
-                             f"{sorted(named_categories())}")
-    except InputError as exc:
-        _fail_input(exc)
-    from .suite import natequiv_report
-
+    if input_path:
+        doc = _read_document(input_path)
+        if doc["kind"] != "scenario" or doc.get("name") != "natequiv":
+            raise InputError("expected a scenario document named 'natequiv'")
+        source_name = doc.get("source", source_name)
+        target_name = doc.get("target", target_name)
+    if not source_name or not target_name:
+        raise InputError("need --source and --target (or a scenario document)")
+    names = named_categories()
+    if not all(type(c) is str and c in names for c in (source_name, target_name)):
+        raise InputError(f"unknown category; pick from {sorted(names)}")
     rep = natequiv_report(source_name, target_name)
     ok = rep.pop("pass")
     report = {"command": "cat natequiv", "source": source_name,
               "target": target_name, **rep, "status": "pass" if ok else "fail"}
-    _finish(report, fmt, started, ok)
+    return report, ok
 
 
 @main.group()
@@ -381,58 +369,41 @@ def yoneda():
     """Checks on natural limit assignments over discrete probes."""
 
 
-@yoneda.command("roundtrip")
+@_command(yoneda, "roundtrip")
 @click.argument("input_path", required=False)
-@format_option
 @click.option("--z-size", type=int, default=None)
 @click.option("--x-size", type=int, default=None)
-def yoneda_roundtrip_cmd(input_path, fmt, z_size, x_size):
+def yoneda_roundtrip_cmd(input_path, z_size, x_size):
     """Count natural candidates and verify both round trips."""
-    started = time.monotonic()
-    try:
-        if input_path:
-            doc = _read_document(input_path)
-            if doc["kind"] != "scenario" or doc.get("name") != "yoneda":
-                raise InputError("expected a scenario document named 'yoneda'")
-            z_size = doc.get("z_size", z_size)
-            x_size = doc.get("x_size", x_size)
-        if not z_size or not x_size:
-            raise InputError("need --z-size and --x-size (or a scenario document)")
-        if z_size < 1 or x_size < 1 or z_size > 4 or x_size > 3:
-            raise InputError("sizes out of the supported range (z <= 4, x <= 3)")
-    except InputError as exc:
-        _fail_input(exc)
+    if input_path:
+        doc = _read_document(input_path)
+        if doc["kind"] != "scenario" or doc.get("name") != "yoneda":
+            raise InputError("expected a scenario document named 'yoneda'")
+        z_size = doc.get("z_size", z_size)
+        x_size = doc.get("x_size", x_size)
+    if z_size is None or x_size is None:
+        raise InputError("need --z-size and --x-size (or a scenario document)")
+    if type(z_size) is not int or type(x_size) is not int:
+        raise InputError("sizes must be integers")
+    if not (1 <= z_size <= 4 and 1 <= x_size <= 3):
+        raise InputError("sizes out of the supported range (z <= 4, x <= 3)")
     from .yoneda_finite import yoneda_roundtrip
 
     rep = yoneda_roundtrip(z_size, x_size)
     report = {"command": "yoneda roundtrip", **rep.to_dict(),
               "status": "pass" if rep.all_pass else "fail"}
-    _finish(report, fmt, started, rep.all_pass)
+    return report, rep.all_pass
 
 
-@main.command("report")
-@format_option
+@_command(main, "report", text=_report_lines)
 @seed_option
 @click.option("--quick", is_flag=True, help="Skip the heavy exhaustive sweeps.")
 @click.option("--parallel", type=int, default=1, show_default=True,
               help="Worker processes for independent checks.")
-def report_cmd(fmt, seed, quick, parallel):
+def report_cmd(seed, quick, parallel):
     """Run the whole verification battery over the built-in fixtures."""
-    started = time.monotonic()
     result = run_suite(seed=seed, quick=quick, parallel=parallel)
-    if fmt == "json":
-        click.echo(json.dumps(jsonable(result), sort_keys=True, indent=2))
-    else:
-        lines = [f"{result['suite']} (version {result['version']}, "
-                 f"seed {result['seed']}, quick={str(result['quick']).lower()})"]
-        for check in result["checks"]:
-            mark = "PASS" if check["pass"] else "FAIL"
-            lines.append(f"{mark} {check['name']}")
-        done = sum(1 for c in result["checks"] if c["pass"])
-        lines.append(f"{done}/{len(result['checks'])} checks passed")
-        click.echo("\n".join(lines))
-    click.echo(f"elapsed_seconds: {time.monotonic() - started:.2f}", err=True)
-    sys.exit(EXIT_PASS if result["all_pass"] else EXIT_FAIL)
+    return result, result["all_pass"]
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import random
 
 from .filter_calculus import filter_from_base, ultrafilter_refine
 from .measure_space import MeasureSpace, ae_equal, bits, is_null
-from .verdict import InternalCheckError, Verdict
+from .verdict import CapacityError, InternalCheckError, Verdict
 
 
 class TransformProperty(Enum):
@@ -354,34 +354,21 @@ def brute_force_liftings(space: MeasureSpace) -> list[SetTransform]:
     """Independent oracle: enumerate every total set transform and keep the
     liftings.
 
-    All ``(2^n)^(2^n)`` tables are materialized (numpy) and first filtered
-    by the entrywise parts of the lifting definition (a.e. identity, empty
-    set, ambient space) before the survivors get the full predicate.  The
-    result equals filtering every table by ``is_lifting`` directly.
+    Of the ``(2^n)^(2^n)`` tables only those that meet the entrywise parts
+    of the lifting definition are generated: the empty set and the ambient
+    space are fixed, and every other set maps to its positive part plus any
+    set of null atoms (a.e. identity).  Each candidate then gets the full
+    predicate, so the result equals filtering every table by ``is_lifting``.
     """
-    import numpy as np
-
     size = space.full_mask + 1
-    total = size ** size
-    if total > 1 << 24:
-        raise ValueError(f"{total} tables is too many for full enumeration")
-    idx = np.arange(total, dtype=np.int64)
-    keep = np.ones(total, dtype=bool)
-    pos = space.pos_mask
-    for q in range(size):
-        col = (idx // (size ** q)) % size
-        keep &= (col & pos) == (q & pos)  # entrywise a.e. identity
-        if q == 0:
-            keep &= col == 0
-        if q == size - 1:
-            keep &= col == size - 1
-    survivors = idx[keep]
-    found = []
-    for code in survivors.tolist():
-        table = tuple((code // (size ** q)) % size for q in range(size))
-        t = SetTransform(space, table)
-        if is_lifting(t):
-            found.append(t)
+    if size ** size > 1 << 24:
+        raise CapacityError(f"(2^{space.n})^(2^{space.n}) tables is too many "
+                            "for full enumeration")
+    nulls = [m for m in range(size) if not m & space.pos_mask]
+    choices = [[(q & space.pos_mask) | m for m in nulls] for q in range(size)]
+    choices[0], choices[-1] = [0], [space.full_mask]
+    found = [t for t in (SetTransform(space, table) for table in product(*choices))
+             if is_lifting(t)]
     found.sort(key=lambda t: t.table)
     return found
 

@@ -9,6 +9,7 @@ almost-everywhere statements are plain equalities, never approximations.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -28,6 +29,14 @@ def bits(mask: int) -> Iterator[int]:
 def as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
+    if type(value) is str:
+        # Fraction("1e999999999") would build 10**999999999: bound the digits
+        # an exponent adds as Python bounds those of an integer literal.
+        exponent = value.lower().partition("e")[2].strip().replace("_", "")
+        limit = sys.get_int_max_str_digits()
+        if (exponent.lstrip("+-").isdecimal() and limit
+                and len(value) + abs(int(exponent)) > limit):
+            raise ValueError(f"decimal exponent makes more than {limit} digits")
     if type(value) in (int, str):  # not bool, which JSON true would be
         return Fraction(value)
     raise TypeError(f"cannot read {value!r} as an exact rational")

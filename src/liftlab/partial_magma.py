@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Sequence
 
-from .verdict import InternalCheckError, Verdict
+from .verdict import CapacityError, InternalCheckError, Verdict
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,8 @@ def build_pm(n: int, table: Sequence[Sequence[int | None]]) -> PartialMagma:
         if len(row) != n:
             raise ValueError(f"row {i} must have {n} entries")
         for j, v in enumerate(row):
-            if v is not None and not 0 <= v < n:
-                raise ValueError(f"entry ({i},{j}) = {v} out of range")
+            if v is not None and (type(v) is not int or not 0 <= v < n):
+                raise ValueError(f"entry ({i},{j}) = {v!r} is not an element")
         rows.append(tuple(row))
     return PartialMagma(n, tuple(rows))
 
@@ -218,7 +218,7 @@ def interchange_check(pm: PartialMagma, force: bool = False) -> InterchangeRepor
     be an internal-consistency failure of hmul/vmul.
     """
     if pm.n ** 8 > 400_000 and not force:
-        raise ValueError(f"{pm.n}^8 quadruples is too many; pass force=True")
+        raise CapacityError(f"{pm.n}^8 quadruples is too many; pass force=True")
     pairs = [index_pair(pm.n, e) for e in range(pm.n * pm.n)]
     both = 0
     quads = 0

@@ -19,6 +19,13 @@ class InternalCheckError(AssertionError):
     """
 
 
+class CapacityError(ValueError):
+    """An exhaustive search refused because its space exceeds a fixed cap.
+
+    The input is well formed but too large to enumerate; nothing failed.
+    """
+
+
 @dataclass(frozen=True)
 class Verdict:
     holds: bool

@@ -17,7 +17,7 @@ from itertools import product
 from .filter_calculus import (Filter, FiniteTopSpace, direct_image,
                               is_ultrafilter, limit_along,
                               principal_ultrafilter)
-from .verdict import InternalCheckError, Verdict
+from .verdict import CapacityError, InternalCheckError, Verdict
 
 RAW_CAP = 500_000
 
@@ -152,7 +152,7 @@ def enumerate_natural_raw(z_ground, x_count: int, probes: ProbeFamily,
     z_ground = tuple(z_ground)
     z_len = len(z_ground)
     if raw_table_space(z_len, x_count, probes) > cap:
-        raise ValueError("raw table space exceeds the enumeration cap")
+        raise CapacityError("raw table space exceeds the enumeration cap")
     keys = [(s, fn) for s in probes.sizes for fn in all_functions(z_len, s)]
     choices = [all_functions(x_count, s) for s, _ in keys]
     out = []

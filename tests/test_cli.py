@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import liftlab.cli
 from liftlab.cli import main
+from liftlab.verdict import InternalCheckError
 
 LAMBDA_A = [0, 5, 2, 7, 0, 5, 2, 7]
 
@@ -83,6 +90,179 @@ class TestInputHandling:
                     {"kind": "measure_space", "weights": ["1", "1", "0"]})
         result = runner.invoke(main, ["space", "check", doc])
         assert result.exit_code == 2
+
+
+def _doc(payload) -> str:
+    return json.dumps(payload)
+
+
+def _yoneda(z_size) -> str:
+    return _doc({"kind": "scenario", "name": "yoneda", "z_size": z_size, "x_size": 1})
+
+
+def _table(kind) -> str:
+    return _doc({"kind": kind, "n": 2, "table": [[0, 0.5], [None, 1]]})
+
+
+# Bad input that once exited 1 with a traceback, hung, or ran as valid input.
+BAD_INPUT = {
+    "yoneda_string_size": (["yoneda", "roundtrip", "-"], _yoneda("2")),
+    "yoneda_float_size": (["yoneda", "roundtrip", "-"], _yoneda(2.5)),
+    "yoneda_boolean_size": (["yoneda", "roundtrip", "-"], _yoneda(True)),
+    "natequiv_sq_to_3": (["cat", "natequiv", "--source", "SQ", "--target", "3"], None),
+    "natequiv_sq_to_sq": (["cat", "natequiv", "--source", "SQ", "--target", "SQ"], None),
+    "huge_exponent_weight": (["space", "liftings", "-"],
+                             _doc({"kind": "measure_space", "weights": ["1e9999999", "1"]})),
+    "huger_exponent_weight": (["space", "liftings", "-"],
+                              _doc({"kind": "measure_space", "weights": ["1e999999999", "1"]})),
+    "pm_float_entry": (["pm", "classify", "-"], _table("partial_magma")),
+    "twin_float_entry": (["cat", "twin", "-"], _table("category")),
+    "natequiv_list_source": (["cat", "natequiv", "-"],
+                             _doc({"kind": "scenario", "name": "natequiv",
+                                   "source": ["x"], "target": "3"})),
+    "pm_boolean_n": (["pm", "classify", "-"],
+                     _doc({"kind": "partial_magma", "n": True, "table": [[0]]})),
+    "over_long_json_integer": (["space", "liftings", "-"],
+                               '{"kind": "measure_space", "weights": [1%s]}' % ("0" * 5000)),
+    "deeply_nested_json": (["space", "liftings", "-"], "[" * 100_000 + "]" * 100_000),
+}
+
+
+class TestExceptionBoundary:
+    @pytest.mark.parametrize("case", sorted(BAD_INPUT))
+    def test_bad_input_exits_2_with_one_line(self, runner, case):
+        args, stdin = BAD_INPUT[case]
+        result = runner.invoke(main, args, input=stdin)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("input error: ")
+        assert result.stderr.count("\n") == 1
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("stage, args", [
+        ("classify", ["pm", "classify", "-"]),
+        ("run_suite", ["report", "--quick"]),
+    ])
+    def test_internal_error_exits_3_with_the_witness(self, runner, monkeypatch,
+                                                     stage, args):
+        def broken(*a, **k):
+            raise InternalCheckError("chain rule broken at (0, 1)")
+
+        monkeypatch.setattr(liftlab.cli, stage, broken)
+        result = runner.invoke(main, args, input=_doc(
+            {"kind": "partial_magma", "n": 1, "table": [[0]]}))
+        assert result.exit_code == 3
+        assert result.stderr == "internal error: chain rule broken at (0, 1)\n"
+        assert result.stdout == ""
+
+    def test_a_bug_is_not_passed_off_as_bad_input(self, runner, monkeypatch):
+        def buggy(*a, **k):
+            raise ValueError("a bug, not bad input")
+
+        monkeypatch.setattr(liftlab.cli, "classify", buggy)
+        result = runner.invoke(main, ["pm", "classify", "-"], input=_doc(
+            {"kind": "partial_magma", "n": 1, "table": [[0]]}))
+        assert result.exit_code == 1
+        assert isinstance(result.exception, ValueError)
+
+    def test_oracle_falls_back_to_sampling_past_the_cap(self, runner):
+        result = runner.invoke(main, ["space", "liftings", "-", "--oracle",
+                                      "--format", "json"],
+                               input=_doc({"kind": "measure_space",
+                                           "weights": ["1", "1", "0", "0"]}))
+        assert result.exit_code == 0
+        oracle = json.loads(result.stdout)["oracle"]
+        assert oracle["mode"] == "sampled" and oracle["holds"] is True
+
+    def test_huge_exponent_exits_2_fast_in_a_fresh_process(self, tmp_path):
+        doc = write(tmp_path, "huge.json",
+                    {"kind": "measure_space", "weights": ["1e9999999", "1"]})
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        # timeout=1.5 fails the test (TimeoutExpired) if parsing hangs
+        proc = subprocess.run([sys.executable, "-m", "liftlab.cli", "space", "liftings", doc],
+                              env=env, capture_output=True, text=True, timeout=1.5)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("input error: bad weights")
+        assert proc.stderr.count("\n") == 1
+
+
+# Malformed documents: a valid document of each kind with one part, at any
+# depth, replaced by a wrong JSON type or dropped.  Valid documents stay small
+# (at most 4 atoms, 3 elements, cheap categories and sizes).
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.floats(width=16),
+    st.sampled_from([0.5, "1", "x", [], {}, [0]]),
+    st.builds("1e{}{}".format, st.sampled_from(["", "-"]), st.integers(4301, 10 ** 12)))
+
+_DROP = object()
+
+
+def _corrupt(value):
+    """``value``, or a copy with one part replaced by junk or dropped."""
+    if isinstance(value, (dict, list)) and value:
+        keys = sorted(value) if isinstance(value, dict) else range(len(value))
+
+        def replace(key, part):
+            copy = dict(value) if isinstance(value, dict) else list(value)
+            if part is _DROP:
+                del copy[key]
+            else:
+                copy[key] = part
+            return copy
+
+        return st.one_of(st.just(value), st.sampled_from(keys).flatmap(
+            lambda key: st.builds(replace, st.just(key),
+                                  st.one_of(st.just(_DROP), _JUNK, _corrupt(value[key])))))
+    return st.just(value)
+
+
+def _space_doc(weights):
+    size = 2 ** len(weights)
+    transform = st.lists(st.integers(0, size - 1), min_size=size, max_size=size)
+    return st.fixed_dictionaries({"kind": st.just("measure_space"),
+                                  "weights": st.just(weights)},
+                                 optional={"transform": transform})
+
+
+def _magma_doc(n):
+    row = st.lists(st.one_of(st.none(), st.integers(0, n - 1)), min_size=n, max_size=n)
+    return st.fixed_dictionaries({"kind": st.sampled_from(["partial_magma", "category"]),
+                                  "n": st.just(n),
+                                  "table": st.lists(row, min_size=n, max_size=n)})
+
+
+_NAME = st.sampled_from(["1", "2", "II", "SQ", "nope"])
+_CASES = [
+    (["space", "check"], ["space", "liftings"], ["space", "theorem1"],
+     st.lists(st.sampled_from(["0", "1", "2", "1/2", "0.25"]), min_size=1, max_size=4)
+     .flatmap(_space_doc)),
+    (["pm", "classify"], ["pm", "interchange"], ["cat", "twin"],
+     st.integers(1, 3).flatmap(_magma_doc)),
+    (["cat", "natequiv"],
+     st.fixed_dictionaries({"kind": st.just("scenario"), "name": st.just("natequiv"),
+                            "source": _NAME, "target": _NAME})),
+    (["yoneda", "roundtrip"],
+     st.fixed_dictionaries({"kind": st.just("scenario"), "name": st.just("yoneda"),
+                            "z_size": st.sampled_from([1, 2, 3, 5]),
+                            "x_size": st.sampled_from([1, 2, 3, 4])})),
+]
+_ANY_DOCUMENT = st.one_of(*(st.tuples(st.sampled_from(case[:-1]),
+                                      st.one_of(case[-1].flatmap(_corrupt), _JUNK))
+                            for case in _CASES))
+
+
+@given(_ANY_DOCUMENT)
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_malformed_documents_never_escape_the_boundary(case):
+    command, doc = case
+    result = CliRunner().invoke(main, [*command, "-"], input=json.dumps(doc))
+    assert result.exception is None or isinstance(result.exception, SystemExit), doc
+    assert result.exit_code in (0, 1, 2)
+    if result.exit_code == 2:
+        assert result.stderr.count("\n") == 1
 
 
 class TestSpaceCommands:

@@ -252,6 +252,14 @@ class TestOracles:
         with pytest.raises(ValueError, match="too many"):
             brute_force_liftings(s2)
 
+    @pytest.mark.parametrize("weights", [[1, 0], [0, 1], [1, 1]])
+    def test_brute_force_equals_filtering_every_table(self, weights):
+        sp = build_space(weights)
+        size = sp.full_mask + 1
+        every = [t for t in product(range(size), repeat=size)
+                 if is_lifting(SetTransform(sp, t))]
+        assert [t.table for t in brute_force_liftings(sp)] == sorted(every)
+
 
 @given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2))
 @settings(max_examples=20, deadline=None)

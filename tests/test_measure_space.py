@@ -40,6 +40,18 @@ class TestBuildSpace:
         with pytest.raises(TypeError, match="exact rational"):
             build_space([True, 1])
 
+    @pytest.mark.parametrize("weight", ["1e999999999", "1E-4301", "1e9_999_999",
+                                        "1e4300"])
+    def test_rejects_huge_decimal_exponent(self, weight):
+        # parsing these as-is would build powers of ten with millions of digits
+        with pytest.raises(ValueError, match="exponent"):
+            build_space([weight, "1"])
+
+    def test_accepts_printable_exponents(self):
+        sp = build_space(["1e4290", "2.5e-3"])
+        assert sp.weights == (Fraction(10) ** 4290, Fraction(1, 400))
+        assert len(str(sp.weights[0])) == 4291
+
     def test_string_and_fraction_weights(self):
         sp = build_space(["1/2", "0.25", 3])
         assert sp.weights == (Fraction(1, 2), Fraction(1, 4), Fraction(3))

@@ -38,6 +38,11 @@ class TestBuildPm:
         with pytest.raises(ValueError):
             build_pm(2, [[2, None], [None, None]])
 
+    @pytest.mark.parametrize("entry", [0.5, 1.0, True, "1"])
+    def test_rejects_non_integer_entry(self, entry):
+        with pytest.raises(ValueError, match="not an element"):
+            build_pm(2, [[entry, None], [None, None]])
+
     def test_truncated_subtraction_table(self):
         pm = nat_subtraction_magma(3)
         assert pm.op(3, 1) == 2

@@ -11,6 +11,7 @@ partial products: horizontal multiplication (middle-erasing) and vertical
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from typing import Callable, Sequence
 
@@ -241,26 +242,6 @@ def interchange_check(pm: PartialMagma, force: bool = False) -> InterchangeRepor
     return InterchangeReport(quads, both, tuple(violations))
 
 
-def dom_cod(pm: PartialMagma, x: int) -> tuple[int, int]:
-    """The unique right and left pins of ``x`` in a regular magma."""
-    c = classify(pm)
-    if not c.regular:
-        raise ValueError("domains and codomains need a regular magma")
-    dom = next(u for u in c.units if pm.defined(x, u))
-    cod = next(u for u in c.units if pm.defined(u, x))
-    return dom, cod
-
-
-def chain_rule(pm: PartialMagma, x: int, z: int) -> bool:
-    """Definedness of ``x . z`` in a regular magma, read off the pins."""
-    dx, _ = dom_cod(pm, x)
-    _, cz = dom_cod(pm, z)
-    matches = dx == cz
-    if matches != pm.defined(x, z):
-        raise InternalCheckError(f"chain rule broken at ({x}, {z})")
-    return matches
-
-
 def verify_chain_rule(pm: PartialMagma) -> Verdict:
     """Exhaustively: a product is defined iff the pins match."""
     us = units(pm)
@@ -410,50 +391,61 @@ class SweepReport:
                 "both_defined": self.both_defined, "violations": self.violations}
 
 
-def interchange_sweep(n: int = 3, batch: int = 4096, rows=None) -> SweepReport:
+#: Tables per batch in ``interchange_sweep``.
+SWEEP_BATCH = 1024
+
+
+def interchange_sweep(n: int = 3, rows=None) -> SweepReport:
     """Interchange law over every operation table on n elements.
 
-    For each table, both sides of the law are evaluated over all n^8
-    quadruples of pairs through the two composition orders (vertical-then-
-    horizontal vs horizontal-then-vertical) and compared wherever both are
-    defined.  Pass ``rows`` (an array of flat tables) to sweep a specific
-    subset instead of all tables.
+    With H the horizontal table (``H[e, f]`` is ``hmul(e, f)``, read from
+    ``twin_pm`` and so from ``hmul`` itself) and V the vertical table of an
+    operation table (``V[e, f]`` gathers its two component cells), the law
+    compares, for pairs x, z, x', z', the left side ``H[V[x',z'], V[x,z]]``
+    with the right side ``V[H[x',x], H[z',z]]``.  The right side is
+    undefined unless ``H[x',x]`` and ``H[z',z]`` both are, so no other
+    quadruple can be doubly defined; only those (729 of the 6561 for
+    n = 3) are evaluated.  Each side is built by its own lookups, and a
+    violation is counted wherever both are defined and differ.
+    ``quadruples_per_table`` reports all n^8.  Pass ``rows`` (an array of
+    flat tables) to sweep a specific subset instead of all tables.
     """
     import numpy as np
 
     tables = all_tables_array(n) if rows is None else np.asarray(rows, dtype=np.int8)
-    total = tables.shape[0]
-    rng8 = [np.arange(n, dtype=np.int64)] * 8
-    grids = np.meshgrid(*rng8, indexing="ij")
-    x1, x2, z1, z2, p1, p2, q1, q2 = [g.reshape(-1) for g in grids]
-    quads = x1.shape[0]
-    # Flat table indices for the four componentwise products.
-    i_x1z1 = x1 * n + z1
-    i_x2z2 = x2 * n + z2
-    i_p1q1 = p1 * n + q1
-    i_p2q2 = p2 * n + q2
-    # Horizontal products of the raw pairs exist iff middles match.
-    h_x = x2 == p1   # (p1,p2) after (x1,x2)
-    h_z = z2 == q1
+    m = n * n
+    undefined = m
+    # Pair indices and the sentinel fit one small unsigned type, and so
+    # does a flat index into H with its sentinel row and column.
+    side = m + 1
+    dtype = np.min_scalar_type(side * side - 1)
+    h = np.full((side, side), undefined, dtype=dtype)
+    h[:m, :m] = [[undefined if v is None else v for v in row] for row in twin_pm(n).table]
+    # V[e, f] = (T[e1, f1], T[e2, f2]), flattened as e * m + f.
+    e, f = np.divmod(np.arange(m * m), m)
+    cell1 = (e // n) * n + f // n
+    cell2 = (e % n) * n + f % n
+    # Every quadruple (x, z, x', z') with H[x', x] and H[z', z] defined.
+    hp, hq = np.nonzero(h[:m, :m] != undefined)
+    i, j = np.divmod(np.arange(hp.size ** 2), hp.size)
+    xp, x, zp, z = hp[i], hq[i], hp[j], hq[j]
+    v_xz = x * m + z
+    v_pzp = xp * m + zp
+    v_rhs = h[xp, x].astype(np.intp) * m + h[zp, z]
+    h_flat = h.ravel()
     both_defined = 0
     violations = 0
-    for start in range(0, total, batch):
-        tb = tables[start:start + batch]
-        a = tb[:, i_x1z1]
-        b = tb[:, i_x2z2]
-        c = tb[:, i_p1q1]
-        d = tb[:, i_p2q2]
-        # Left side: vertical products first, then horizontal.
-        lhs_def = (a >= 0) & (b >= 0) & (c >= 0) & (d >= 0) & (b == c)
-        lhs_first, lhs_second = a, d
-        # Right side: horizontal products first, then vertical.
-        rhs_def = h_x[None, :] & h_z[None, :] & (a >= 0) & (d >= 0)
-        rhs_first, rhs_second = a, d
-        both = lhs_def & rhs_def
-        both_defined += int(both.sum())
-        bad = both & ((lhs_first != rhs_first) | (lhs_second != rhs_second))
-        violations += int(bad.sum())
-    return SweepReport(total, quads, both_defined, violations)
+    for start in range(0, tables.shape[0], SWEEP_BATCH):
+        tb = tables[start:start + SWEEP_BATCH].astype(np.intp)
+        a = tb[:, cell1]
+        b = tb[:, cell2]
+        v = np.where((a < 0) | (b < 0), undefined, a * n + b).astype(dtype)
+        lhs = h_flat[(v * dtype.type(side))[:, v_pzp] + v[:, v_xz]]
+        rhs = v[:, v_rhs]
+        both = (lhs != undefined) & (rhs != undefined)
+        both_defined += int(np.count_nonzero(both))
+        violations += int(np.count_nonzero(both & (lhs != rhs)))
+    return SweepReport(tables.shape[0], n ** 8, both_defined, violations)
 
 
 def unital_table_indices(n: int):
@@ -475,8 +467,9 @@ def unital_table_indices(n: int):
     return np.nonzero(unital)[0], tables
 
 
-def regular_tables(n: int) -> list[PartialMagma]:
-    """All regular partial magmas on n elements.
+@cache
+def regular_tables(n: int) -> tuple[PartialMagma, ...]:
+    """All regular partial magmas on n elements, built once per n.
 
     Regularity implies unitality, so the vectorized unit pre-filter loses
     nothing; the survivors get the full classification.
@@ -486,9 +479,5 @@ def regular_tables(n: int) -> list[PartialMagma]:
         rows = tables[idx]
     else:
         rows = all_tables_array(n)
-    out = []
-    for row in rows:
-        pm = pm_from_row(n, row)
-        if classify(pm).regular:
-            out.append(pm)
-    return out
+    pms = (pm_from_row(n, row) for row in rows)
+    return tuple(pm for pm in pms if classify(pm).regular)

@@ -5,8 +5,10 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liftlab import partial_magma
+from liftlab.category_kernel import cat_from_rpm
 from liftlab.partial_magma import (all_tables_array,
-                                   build_pm, chain_rule, classify, dom_cod,
+                                   build_pm, classify,
                                    hmul, index_pair, interchange_check,
                                    interchange_sweep, is_pm_hom, matrix_magma,
                                    nat_subtraction_magma, pair_index,
@@ -14,6 +16,7 @@ from liftlab.partial_magma import (all_tables_array,
                                    single_unit_totality, square_of_function,
                                    square_pm, twin_pm, unital_table_indices,
                                    units, verify_chain_rule, vmul)
+from liftlab.suite import run_check
 
 
 def m3():
@@ -186,14 +189,18 @@ class TestInterchange:
         assert interchange_check(forced, force=True).holds
 
     def test_sweep_matches_pure_loop_on_two_elements(self):
-        # total both-defined count over all 81 tables, two independent paths
+        # both-defined count table by table over all 81 tables, two
+        # independent paths
         rows = all_tables_array(2)
         pure_total = 0
         for row in rows:
-            pure_total += interchange_check(pm_from_row(2, row)).both_defined
+            pure = interchange_check(pm_from_row(2, row)).both_defined
+            rep = interchange_sweep(2, rows=row[None])
+            assert rep.violations == 0 and rep.both_defined == pure
+            pure_total += pure
         rep = interchange_sweep(2)
         assert rep.violations == 0
-        assert rep.both_defined == pure_total
+        assert rep.both_defined == pure_total == 2088
 
     def test_sweep_matches_pure_loop_on_sampled_three_element_tables(self):
         rng = random.Random(9)
@@ -208,31 +215,82 @@ class TestInterchange:
         assert rep.violations == 0 and rep.both_defined == pure_total
 
 
+class TestFaultInjection:
+    """A broken pair product must show up as a failed check."""
+
+    @staticmethod
+    def _wrong_on_one_pair(monkeypatch):
+        right = partial_magma.hmul
+
+        def wrong(x, y):
+            # (0,1) after (1,0) is (1,1); answer (0,0) instead
+            return (0, 0) if (x, y) == ((0, 1), (1, 0)) else right(x, y)
+
+        monkeypatch.setattr(partial_magma, "hmul", wrong)
+
+    def test_faulty_hmul_breaks_the_sweep(self, monkeypatch):
+        rng = random.Random(9)
+        rows = all_tables_array(3)
+        sample = rows[sorted(rng.sample(range(rows.shape[0]), 40))]
+        self._wrong_on_one_pair(monkeypatch)
+        assert interchange_sweep(2).violations > 0
+        assert interchange_sweep(3, rows=sample).violations > 0
+
+    def test_faulty_hmul_fails_the_report_check(self, monkeypatch):
+        assert run_check("interchange_n2")["pass"]
+        self._wrong_on_one_pair(monkeypatch)
+        assert not run_check("interchange_n2")["pass"]
+
+    def test_undefined_hmul_fails_the_closed_form(self, monkeypatch):
+        # dropping a product loses doubly-defined quadruples without any
+        # value disagreeing, so only the closed-form count catches it
+        right = partial_magma.hmul
+        monkeypatch.setattr(partial_magma, "hmul", lambda x, y: (
+            None if (x, y) == ((0, 0), (0, 0)) else right(x, y)))
+        out = run_check("interchange_n2")
+        assert out["sweep"]["violations"] == 0
+        assert out["sweep"]["both_defined"] < 2088 and not out["pass"]
+
+    def test_faulty_vmul_breaks_interchange_check(self, monkeypatch):
+        right = partial_magma.vmul
+
+        def wrong(pm, x, y):
+            # (0,1) . (0,0) is (0,1) in the group Z/2; answer (1,0) instead
+            return (1, 0) if (x, y) == ((0, 1), (0, 0)) else right(pm, x, y)
+
+        pm = build_pm(2, [[0, 1], [1, 0]])
+        assert interchange_check(pm).holds
+        monkeypatch.setattr(partial_magma, "vmul", wrong)
+        assert not interchange_check(pm).holds
+
+
 class TestPins:
     def test_matrix_pins(self):
         pm, labels = m6()
         a32 = labels.index("A32")
-        assert dom_cod(pm, a32) == (labels.index("I2"), labels.index("I3"))
+        cat = cat_from_rpm(pm)
+        assert (cat.dom[a32], cat.cod[a32]) == (labels.index("I2"), labels.index("I3"))
 
     def test_units_are_their_own_pins(self):
         pm = m3()[0]
+        cat = cat_from_rpm(pm)
         for u in units(pm):
-            assert dom_cod(pm, u) == (u, u)
+            assert (cat.dom[u], cat.cod[u]) == (u, u)
 
     def test_twin_pins_are_diagonal_pairs(self):
-        pm = twin_pm(3)
-        for e in range(pm.n):
+        cat = cat_from_rpm(twin_pm(3))
+        for e in range(cat.pm.n):
             x = index_pair(3, e)
-            dom, cod = dom_cod(pm, e)
-            assert index_pair(3, dom) == (x[0], x[0])
-            assert index_pair(3, cod) == (x[1], x[1])
+            assert index_pair(3, cat.dom[e]) == (x[0], x[0])
+            assert index_pair(3, cat.cod[e]) == (x[1], x[1])
 
     def test_chain_rule_fixture(self):
         pm, labels = m6()
+        cat = cat_from_rpm(pm)
         a21, a32 = labels.index("A21"), labels.index("A32")
-        assert chain_rule(pm, a32, a21)
-        assert not chain_rule(pm, a21, a32)
-        assert chain_rule(pm, 0, 0)
+        assert pm.defined(a32, a21) and cat.dom[a32] == cat.cod[a21]
+        assert not pm.defined(a21, a32) and cat.dom[a21] != cat.cod[a32]
+        assert pm.defined(0, 0) and cat.dom[0] == cat.cod[0]
 
     def test_chain_rule_exhaustive_on_regular_magmas(self):
         for pm in regular_tables(2):
@@ -242,7 +300,7 @@ class TestPins:
 
     def test_pins_require_regularity(self):
         with pytest.raises(ValueError):
-            dom_cod(nat_subtraction_magma(3), 1)
+            cat_from_rpm(nat_subtraction_magma(3))
 
 
 class TestHomomorphisms:
@@ -310,6 +368,7 @@ class TestSweepInfrastructure:
             pure = [pm_from_row(n, row) for row in all_tables_array(n)
                     if classify(pm_from_row(n, row)).regular]
             assert len(regular_tables(n)) == len(pure)
+            assert regular_tables(n) is regular_tables(n)
 
 
 @given(st.integers(min_value=1, max_value=3), st.data())

@@ -27,6 +27,7 @@ class FiniteCategory:
 
     pm: PartialMagma
     labels: tuple[str, ...] | None = None
+    objects: tuple[int, ...] = field(init=False, compare=False, repr=False)
     dom: tuple[int, ...] = field(init=False, compare=False, repr=False)
     cod: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
@@ -48,12 +49,9 @@ class FiniteCategory:
         for x in range(self.pm.n):
             dom.append(next(u for u in c.units if self.pm.defined(x, u)))
             cod.append(next(u for u in c.units if self.pm.defined(u, x)))
+        object.__setattr__(self, "objects", c.units)
         object.__setattr__(self, "dom", tuple(dom))
         object.__setattr__(self, "cod", tuple(cod))
-
-    @property
-    def objects(self) -> tuple[int, ...]:
-        return units(self.pm)
 
     @property
     def arrows(self) -> tuple[int, ...]:

@@ -1,17 +1,27 @@
 """Filters on finite ground sets, stored by their kernels.
 
+A subset of a ground tuple is an ``int`` bitmask over its positions: bit
+``i`` stands for ``ground[i]``, as bit ``i`` of a set mask stands for atom
+``i`` in ``measure_space``.  Filter kernels, members and the open sets of a
+finite space all use this one form; ``Filter.kernel_elements`` reads a
+kernel back as ground elements.
+
 On a finite ground set every proper filter is principal: it is exactly the
 family of supersets of a unique nonempty kernel.  We therefore never
 materialize the member family; membership is the single subset test
-``member >= kernel``.  The test suite re-derives principality by brute
-force on small grounds before anything relies on it.
+``kernel & ~member == 0``.  The test suite re-derives principality by
+brute force on small grounds before anything relies on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from operator import and_
+from typing import Callable, Sequence
+
+from .measure_space import bits
 
 
 class NotDirectedError(ValueError):
@@ -23,63 +33,64 @@ class NotDirectedError(ValueError):
                          "have no common lower bound in the family")
 
 
-def _is_subset(a, b) -> bool:
-    # Directed families may arrive as bitmasks or as frozensets.
-    if isinstance(a, int) and isinstance(b, int):
-        return a & ~b == 0
-    return frozenset(a) <= frozenset(b)
+def _subset_mask(mask: int, ground: tuple, what: str) -> int:
+    """``mask`` itself, if it names a subset of ``ground``."""
+    if mask < 0 or mask >> len(ground):
+        raise ValueError(f"{what} is not a subset of the ground")
+    return mask
+
+
+def _position(ground: tuple, e) -> int:
+    try:
+        return ground.index(e)
+    except ValueError:
+        raise ValueError(f"{e!r} is not a ground element") from None
 
 
 @dataclass(frozen=True)
 class Filter:
-    """A proper filter on ``ground``, represented by its kernel.
+    """A proper filter on ``ground``, represented by its kernel mask.
 
     Membership law: a subset of the ground belongs to the filter iff it
     contains the kernel.
     """
 
     ground: tuple
-    kernel: frozenset
+    kernel: int
 
     def __post_init__(self):
-        gset = frozenset(self.ground)
-        if len(gset) != len(self.ground):
+        if len(set(self.ground)) != len(self.ground):
             raise ValueError("ground has duplicate elements")
         if not self.kernel:
             raise ValueError("improper filter: empty kernel")
-        if not self.kernel <= gset:
-            raise ValueError("kernel is not a subset of the ground")
+        _subset_mask(self.kernel, self.ground, "kernel")
 
-    def contains(self, member: Iterable) -> bool:
-        member = frozenset(member)
-        if not member <= frozenset(self.ground):
-            raise ValueError("candidate member is not a subset of the ground")
-        return self.kernel <= member
+    def contains(self, member: int) -> bool:
+        _subset_mask(member, self.ground, "candidate member")
+        return self.kernel & ~member == 0
+
+    def kernel_elements(self) -> tuple:
+        """The kernel's ground elements, in ground order."""
+        return tuple(self.ground[i] for i in bits(self.kernel))
 
 
 def trivial_filter(ground: Sequence) -> Filter:
     """The smallest filter: only the whole ground belongs to it."""
-    return Filter(tuple(ground), frozenset(ground))
+    ground = tuple(ground)
+    return Filter(ground, (1 << len(ground)) - 1)
 
 
 def principal_ultrafilter(ground: Sequence, q) -> Filter:
     ground = tuple(ground)
-    if q not in ground:
-        raise ValueError(f"{q!r} is not a ground element")
-    return Filter(ground, frozenset([q]))
+    return Filter(ground, 1 << _position(ground, q))
 
 
-def filter_from_base(ground: Sequence, base: Sequence[Iterable]) -> Filter:
+def filter_from_base(ground: Sequence, base: Sequence[int]) -> Filter:
     """The filter generated by a base: kernel = intersection of the base."""
     ground = tuple(ground)
-    members = [frozenset(b) for b in base]
-    if not members:
+    if not base:
         raise ValueError("empty base generates no filter")
-    gset = frozenset(ground)
-    for m in members:
-        if not m <= gset:
-            raise ValueError("base member is not a subset of the ground")
-    kernel = frozenset.intersection(*members)
+    kernel = reduce(and_, (_subset_mask(m, ground, "base member") for m in base))
     if not kernel:
         raise ValueError("improper filter: base has empty intersection")
     return Filter(ground, kernel)
@@ -87,34 +98,38 @@ def filter_from_base(ground: Sequence, base: Sequence[Iterable]) -> Filter:
 
 def is_ultrafilter(f: Filter) -> bool:
     """Maximality on a finite ground amounts to a singleton kernel."""
-    return len(f.kernel) == 1
+    return f.kernel & (f.kernel - 1) == 0
 
 
 def ultrafilter_refine(f: Filter) -> Filter:
     """A deterministic ultrafilter refinement.
 
     Ties are broken by keeping the kernel element with the smallest ground
-    index, so refinements are reproducible across runs.
+    index (the lowest set bit), so refinements are reproducible across runs.
     """
-    index = {e: i for i, e in enumerate(f.ground)}
-    pick = min(f.kernel, key=index.__getitem__)
-    return Filter(f.ground, frozenset([pick]))
+    return Filter(f.ground, f.kernel & -f.kernel)
 
 
-def direct_image(fmap, f: Filter, target_ground: Sequence) -> Filter:
+def direct_image(fmap: Callable, f: Filter, target_ground: Sequence) -> Filter:
     """Image filter along a map of grounds: the kernel maps forward."""
     target = tuple(target_ground)
-    if callable(fmap):
-        image = frozenset(fmap(e) for e in f.kernel)
-    else:
-        image = frozenset(fmap[e] for e in f.kernel)
+    image = 0
+    for e in f.kernel_elements():
+        image |= 1 << _position(target, fmap(e))
     return Filter(target, image)
 
 
 def limit_points(f: Filter, lam: Callable, codomain: "FiniteTopSpace") -> list:
-    """All points whose neighborhood filter is below the image of ``f``."""
-    image = frozenset(lam(e) for e in f.kernel)
-    return [y for y in codomain.points if image <= codomain.min_open(y)]
+    """All points whose neighborhood filter is below the image of ``f``;
+    none when a value of ``lam`` on the kernel is not a point."""
+    index = {y: i for i, y in enumerate(codomain.points)}
+    image = 0
+    for e in f.kernel_elements():
+        i = index.get(lam(e))
+        if i is None:
+            return []
+        image |= 1 << i
+    return [y for y in codomain.points if image & ~codomain.min_open(y) == 0]
 
 
 def limit_along(f: Filter, lam: Callable, codomain: "FiniteTopSpace | None" = None):
@@ -126,7 +141,7 @@ def limit_along(f: Filter, lam: Callable, codomain: "FiniteTopSpace | None" = No
     can only arise in non-Hausdorff spaces and raises.
     """
     if codomain is None:
-        values = {lam(e) for e in f.kernel}
+        values = {lam(e) for e in f.kernel_elements()}
         if len(values) == 1:
             return next(iter(values))
         return None
@@ -138,52 +153,51 @@ def limit_along(f: Filter, lam: Callable, codomain: "FiniteTopSpace | None" = No
     return pts[0]
 
 
-def is_directed(family: Sequence) -> tuple[bool, tuple | None]:
-    """Downward directedness under inclusion, with a witness pair on failure."""
+def is_directed(family: Sequence[int]) -> tuple[bool, tuple | None]:
+    """Downward directedness of set masks under inclusion, with a witness
+    pair on failure."""
     elems = list(family)
     for a, b in combinations(elems, 2):
-        if not any(_is_subset(l, a) and _is_subset(l, b) for l in elems):
+        if not any(l & ~(a & b) == 0 for l in elems):
             return False, (a, b)
     return True, None
 
 
-def tail_filter(directed: Sequence) -> Filter:
-    """Filter of final segments of a family directed by reverse inclusion.
+def tail_filter(directed: Sequence[int]) -> Filter:
+    """Filter of final segments of a family of set masks directed by
+    reverse inclusion.
 
     The ground is the family itself.  At finite scale the final segments
     shrink to the inclusion-least member, so the kernel is that singleton.
     """
-    family: list = []
-    for e in directed:
-        if e not in family:
-            family.append(e)
+    family = tuple(dict.fromkeys(directed))
     if not family:
         raise ValueError("empty family has no tail filter")
     ok, witness = is_directed(family)
     if not ok:
         raise NotDirectedError(witness)
-    kernel = frozenset(e for e in family if all(_is_subset(e, d) for d in family))
+    kernel = sum(1 << i for i, e in enumerate(family)
+                 if all(e & ~d == 0 for d in family))
     if not kernel:
         raise AssertionError("directed finite family must have a least member")
-    return Filter(tuple(family), kernel)
+    return Filter(family, kernel)
 
 
 @dataclass(frozen=True)
 class FiniteTopSpace:
-    """A finite topological space given by its full family of open sets."""
+    """A finite topological space given by its full family of open sets,
+    each a mask over ``points``."""
 
     points: tuple
     opens: frozenset
 
     def __post_init__(self):
-        pts = frozenset(self.points)
-        if len(pts) != len(self.points):
+        if len(set(self.points)) != len(self.points):
             raise ValueError("duplicate points")
         opens = self.opens
         for o in opens:
-            if not frozenset(o) <= pts:
-                raise ValueError("open set is not a subset of the points")
-        if frozenset() not in opens or pts not in opens:
+            _subset_mask(o, self.points, "open set")
+        if 0 not in opens or (1 << len(self.points)) - 1 not in opens:
             raise ValueError("topology must contain the empty set and the space")
         for a in opens:
             for b in opens:
@@ -193,29 +207,24 @@ class FiniteTopSpace:
     @classmethod
     def discrete(cls, points: Sequence) -> "FiniteTopSpace":
         pts = tuple(points)
-        opens = set()
-        for mask in range(1 << len(pts)):
-            opens.add(frozenset(pts[i] for i in range(len(pts)) if (mask >> i) & 1))
-        return cls(pts, frozenset(opens))
+        return cls(pts, frozenset(range(1 << len(pts))))
 
-    def min_open(self, y) -> frozenset:
+    def min_open(self, y) -> int:
         """The smallest open set containing ``y``."""
-        if y not in self.points:
-            raise ValueError(f"{y!r} is not a point")
-        return frozenset.intersection(*[o for o in self.opens if y in o])
+        bit = 1 << _position(self.points, y)
+        return reduce(and_, (o for o in self.opens if o & bit))
 
     def neighborhood_filter(self, y) -> Filter:
         return Filter(self.points, self.min_open(y))
 
     def is_discrete(self) -> bool:
-        return all(frozenset([p]) in self.opens for p in self.points)
+        return all(1 << i in self.opens for i in range(len(self.points)))
 
     def is_hausdorff(self) -> bool:
-        for i, x in enumerate(self.points):
-            for y in self.points[i + 1:]:
-                if not any(x in a and y in b and not (a & b)
-                           for a in self.opens for b in self.opens):
-                    return False
+        for i, j in combinations(range(len(self.points)), 2):
+            if not any(a >> i & 1 and b >> j & 1 and not a & b
+                       for a in self.opens for b in self.opens):
+                return False
         return True
 
 
@@ -309,12 +318,8 @@ def base_generation_oracle(max_size: int = 4) -> "Verdict":
                             changed = True
             literal = {s for s in range(1, full + 1)
                        if any(s & m == m for m in closure)}
-            generated = filter_from_base(
-                ground, [frozenset(i for i in range(size) if (b >> i) & 1)
-                         for b in base])
-            by_kernel = {s for s in range(1, full + 1)
-                         if generated.contains(
-                             frozenset(i for i in range(size) if (s >> i) & 1))}
+            generated = filter_from_base(ground, base)
+            by_kernel = {s for s in range(1, full + 1) if generated.contains(s)}
             if literal != by_kernel:
                 return Verdict.fail((size, base),
                                     "generated filter disagrees with literal closure")
@@ -333,7 +338,7 @@ def lim_beta(space: FiniteTopSpace) -> Callable[[Filter], object]:
     def lim(u: Filter):
         if not is_ultrafilter(u):
             raise ValueError("lim_beta is defined on ultrafilters only")
-        matches = [y for y in space.points if u.kernel <= space.min_open(y)]
+        matches = limit_points(u, lambda e: e, space)
         if len(matches) != 1:
             raise ValueError("ultrafilter does not live on the space's points")
         return matches[0]

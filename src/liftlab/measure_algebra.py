@@ -413,8 +413,7 @@ def lower_density_to_lifting(space: MeasureSpace, density: SetTransform) -> SetT
     atoms = tuple(range(space.n))
     target = []
     for x in range(space.n):
-        family = [frozenset(bits(q)) for q in range(space.full_mask + 1)
-                  if (density.table[q] >> x) & 1]
+        family = [q for q in range(space.full_mask + 1) if (density.table[q] >> x) & 1]
         if not family:
             raise InternalCheckError(f"point {x} has an empty set family")
         fam_set = set(family)
@@ -423,7 +422,7 @@ def lower_density_to_lifting(space: MeasureSpace, density: SetTransform) -> SetT
                 if a & b not in fam_set:
                     raise InternalCheckError("set family is not intersection-closed")
         refined = ultrafilter_refine(filter_from_base(atoms, family))
-        target.append(next(iter(refined.kernel)))
+        target.append(refined.kernel_elements()[0])
     table = []
     for q in range(space.full_mask + 1):
         table.append(sum(1 << x for x in range(space.n) if (q >> target[x]) & 1))

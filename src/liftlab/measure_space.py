@@ -17,13 +17,11 @@ from typing import Iterable, Iterator, Sequence
 
 
 def bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of ``mask``, ascending."""
-    i = 0
+    """Indices of the set bits of ``mask``, ascending; one step per set bit."""
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def as_fraction(value) -> Fraction:

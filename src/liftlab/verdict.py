@@ -58,8 +58,6 @@ def jsonable(value: Any) -> Any:
         return str(value)
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (frozenset, set)):
-        return sorted(jsonable(v) for v in value)
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     if isinstance(value, Verdict):

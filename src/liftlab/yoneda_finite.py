@@ -28,11 +28,6 @@ def all_functions(source_size: int, target_size: int) -> tuple[tuple[int, ...], 
     return tuple(product(range(target_size), repeat=source_size))
 
 
-@lru_cache(maxsize=None)
-def discrete_space(size: int) -> FiniteTopSpace:
-    return FiniteTopSpace.discrete(tuple(range(size)))
-
-
 def compose(phi: tuple[int, ...], f: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(phi[v] for v in f)
 
@@ -106,12 +101,11 @@ def tau_from_kernel(filters, probes: ProbeFamily) -> TauCandidate:
     z_len = len(ground)
     tables: dict[int, dict] = {}
     for s in probes.sizes:
-        space = discrete_space(s)
         table = {}
         for fn in all_functions(z_len, s):
             out = []
             for f in filters:
-                val = limit_along(f, lambda e: fn[z_index[e]], space)
+                val = limit_along(f, lambda e: fn[z_index[e]])
                 if val is None:
                     raise InternalCheckError("principal limit failed to exist")
                 out.append(val)
@@ -237,7 +231,7 @@ def yoneda_roundtrip(z_size: int, x_size: int,
     extracted = []
     for tau in candidates:
         kernel = kernel_from_tau(tau)
-        extracted.append(tuple(next(iter(f.kernel)) for f in kernel))
+        extracted.append(tuple(f.kernel_elements()[0] for f in kernel))
     every_kernel = sorted(product(z_ground, repeat=x_size))
     bijection_ok = sorted(extracted) == every_kernel
 
@@ -319,11 +313,10 @@ def adjunction_bijection(x_size: int, d_size: int,
     delta_index = {pt: i for i, pt in enumerate(bx.points)}
 
     def forward(g: tuple[int, ...], codomain_size: int) -> tuple[int, ...]:
-        space = discrete_space(codomain_size)
         out = []
         for u in bx.points:
             image = direct_image(lambda x: g[x], u, tuple(range(codomain_size)))
-            val = limit_along(image, lambda p: p, space)
+            val = limit_along(image, lambda p: p)
             if val is None:
                 raise InternalCheckError("ultrafilter image has no limit")
             out.append(val)

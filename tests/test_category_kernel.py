@@ -61,6 +61,19 @@ class TestCatRpmRoundtrip:
         with pytest.raises(ValueError, match="not a category"):
             cat_from_rpm(named_magmas()["nat_sub"])
 
+    def test_objects_are_the_units_computed_once(self, monkeypatch):
+        import liftlab.partial_magma as pm_module
+        calls = []
+        real = pm_module.units
+        monkeypatch.setattr(pm_module, "units",
+                            lambda pm: calls.append(pm) or real(pm))
+        c = cat_from_rpm(rpm_from_cat(CATS["SQ"]))
+        built = len(calls)  # classify's, in __post_init__
+        for _ in range(3):
+            assert c.objects == real(c.pm)
+        assert len(calls) == built
+        assert "objects" not in repr(c)
+
 
 class TestHomSets:
     def test_single_arrow_category(self):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liftlab.measure_space import (PartialFn, ae_equal, ae_equal_fn,
-                                   averageable_sets, build_space,
+                                   averageable_sets, bits, build_space,
                                    conditional_prob, indicator, measure,
                                    partial_fn, total_fn)
 
@@ -14,6 +15,25 @@ A, B, N = 1, 2, 4  # atom masks in s1
 
 def all_sets(space):
     return range(space.full_mask + 1)
+
+
+def _shift_loop_bits(mask):
+    out, i = [], 0
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return out
+
+
+@pytest.mark.parametrize("width", [1, 12, 64, 4096])
+def test_bits_matches_shift_loop(width):
+    rng = random.Random(width)
+    masks = [0, (1 << width) - 1, 1 << (width - 1)]
+    masks += [rng.getrandbits(width) for _ in range(50)]
+    for mask in masks:
+        assert list(bits(mask)) == _shift_loop_bits(mask)
 
 
 class TestBuildSpace:

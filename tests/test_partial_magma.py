@@ -188,6 +188,18 @@ class TestInterchange:
         forced = build_pm(5, [[None] * 5 for _ in range(5)])
         assert interchange_check(forced, force=True).holds
 
+    @pytest.mark.parametrize("pm, cells", [
+        (m6()[0], 10),
+        (build_pm(5, [[(i + j) % 5 for j in range(5)] for i in range(5)]), 25),
+    ], ids=["M6", "Z5"])
+    def test_both_defined_is_cube_of_defined_cells(self, pm, cells):
+        # a doubly defined quadruple is fixed by three defined cells:
+        # (x1, z1), (x2, z2) and (x'2, z'2)
+        assert sum(pm.defined(x, y) for x in range(pm.n) for y in range(pm.n)) == cells
+        rep = interchange_check(pm, force=True)
+        assert rep.holds and rep.both_defined == cells ** 3
+        assert rep.quadruples == pm.n ** 8
+
     def test_sweep_matches_pure_loop_on_two_elements(self):
         # both-defined count table by table over all 81 tables, two
         # independent paths
@@ -262,6 +274,20 @@ class TestFaultInjection:
         assert interchange_check(pm).holds
         monkeypatch.setattr(partial_magma, "vmul", wrong)
         assert not interchange_check(pm).holds
+
+    def test_faulty_vmul_breaks_interchange_check_on_m6(self, monkeypatch):
+        right = partial_magma.vmul
+
+        def wrong(pm, x, y):
+            # (I1,I2) . (I1,I2) is (I1,I2); answer (I2,I1) instead
+            return (1, 0) if (x, y) == ((0, 1), (0, 1)) else right(pm, x, y)
+
+        # Z/2's faulty pair above is undefined in M6, so it breaks nothing here
+        pm = m6()[0]
+        monkeypatch.setattr(partial_magma, "vmul", wrong)
+        rep = interchange_check(pm, force=True)
+        assert not rep.holds and len(rep.violations) == 8
+        assert rep.violations[0] == ((0, 1), (0, 3), (1, 1), (3, 1), (0, 1), (1, 0))
 
 
 class TestPins:

@@ -28,6 +28,7 @@ class FiniteCategory:
     pm: PartialMagma
     labels: tuple[str, ...] | None = None
     objects: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    position: dict[int, int] = field(init=False, compare=False, repr=False)
     dom: tuple[int, ...] = field(init=False, compare=False, repr=False)
     cod: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
@@ -50,6 +51,7 @@ class FiniteCategory:
             dom.append(next(u for u in c.units if self.pm.defined(x, u)))
             cod.append(next(u for u in c.units if self.pm.defined(u, x)))
         object.__setattr__(self, "objects", c.units)
+        object.__setattr__(self, "position", {u: i for i, u in enumerate(c.units)})
         object.__setattr__(self, "dom", tuple(dom))
         object.__setattr__(self, "cod", tuple(cod))
 
@@ -76,8 +78,7 @@ def rpm_from_cat(cat: FiniteCategory) -> PartialMagma:
 
 def hom_set(cat: FiniteCategory, u: int, v: int) -> tuple[int, ...]:
     """Arrows from ``u`` to ``v``; hom-sets partition the arrows."""
-    objs = set(cat.objects)
-    if u not in objs or v not in objs:
+    if u not in cat.position or v not in cat.position:
         raise ValueError("hom-set endpoints must be objects")
     return tuple(x for x in cat.arrows if cat.dom[x] == u and cat.cod[x] == v)
 
@@ -221,7 +222,7 @@ class NatTrans:
     components: tuple[int, ...]
 
     def component(self, u: int) -> int:
-        return self.components[self.source.source.objects.index(u)]
+        return self.components[self.source.source.position[u]]
 
 
 def _check_parallel(t: Functor, s: Functor):

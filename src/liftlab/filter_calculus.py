@@ -22,6 +22,7 @@ from operator import and_
 from typing import Callable, Sequence
 
 from .measure_space import bits
+from .verdict import InternalCheckError, Verdict
 
 
 class NotDirectedError(ValueError):
@@ -155,12 +156,19 @@ def limit_along(f: Filter, lam: Callable, codomain: "FiniteTopSpace | None" = No
 
 def is_directed(family: Sequence[int]) -> tuple[bool, tuple | None]:
     """Downward directedness of set masks under inclusion, with a witness
-    pair on failure."""
+    pair on failure.
+
+    Lemma: a finite family is directed iff it holds its own meet, its
+    least member (a lower bound of each pair gives one of the whole
+    family).  The pair loop runs only to find the first witness.
+    """
     elems = list(family)
+    if not elems or reduce(and_, elems) in elems:
+        return True, None
     for a, b in combinations(elems, 2):
         if not any(l & ~(a & b) == 0 for l in elems):
             return False, (a, b)
-    return True, None
+    raise InternalCheckError("a family without its meet has no undirected pair")
 
 
 def tail_filter(directed: Sequence[int]) -> Filter:
@@ -176,11 +184,7 @@ def tail_filter(directed: Sequence[int]) -> Filter:
     ok, witness = is_directed(family)
     if not ok:
         raise NotDirectedError(witness)
-    kernel = sum(1 << i for i, e in enumerate(family)
-                 if all(e & ~d == 0 for d in family))
-    if not kernel:
-        raise AssertionError("directed finite family must have a least member")
-    return Filter(family, kernel)
+    return Filter(family, 1 << family.index(reduce(and_, family)))
 
 
 @dataclass(frozen=True)
@@ -264,14 +268,12 @@ def _literal_filters(size: int) -> list[tuple[frozenset, int]]:
     return filters
 
 
-def principality_oracle(max_size: int = 4) -> "Verdict":
+def principality_oracle(max_size: int = 4) -> Verdict:
     """Brute-force the principality lemma on small grounds.
 
     Every literal filter must be exactly the up-set of its kernel, and the
     maximal ones must be exactly those with singleton kernels.
     """
-    from .verdict import Verdict
-
     for size in range(1, max_size + 1):
         full = (1 << size) - 1
         filters = _literal_filters(size)
@@ -287,15 +289,13 @@ def principality_oracle(max_size: int = 4) -> "Verdict":
     return Verdict.ok(f"all literal filters principal on grounds up to size {max_size}")
 
 
-def base_generation_oracle(max_size: int = 4) -> "Verdict":
+def base_generation_oracle(max_size: int = 4) -> Verdict:
     """Brute-force filter_from_base against literal closure of the base.
 
     For every base of nonempty subsets with nonempty total intersection,
     closing under pairwise intersections and supersets must give the same
     members as the kernel rule with kernel = the total intersection.
     """
-    from .verdict import Verdict
-
     for size in range(1, max_size + 1):
         ground = tuple(range(size))
         full = (1 << size) - 1

@@ -7,10 +7,17 @@ sets per point) turns such a transform back into a partial function by
 taking limits; a kernel "differentiates" when this recovers every
 function almost everywhere.  Both directions of the equivalence with
 liftings are implemented and re-checked on concrete spaces.
+
+Mean values are computed on demand.  A transform's ``values`` is a
+read-only mapping over the averageable sets that computes and caches one
+mean when it is first read, so a limit along a kernel costs one mean per
+member of the kernel, not one per averageable set.  Its length and its
+keys come from ``averageable_sets`` and cost no arithmetic.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -19,7 +26,7 @@ import random
 from .filter_calculus import (Filter, direct_image, is_directed, limit_along,
                               tail_filter, trivial_filter)
 from .measure_space import (MeasureSpace, PartialFn, averageable_sets, bits,
-                            indicator, is_null, measure, total_fn)
+                            indicator, is_null, total_fn)
 from .measure_algebra import (SetTransform, enumerate_liftings, is_lifting,
                               is_boolean_homomorphism, is_lower_density,
                               is_right_inverse, lifting_retraction,
@@ -27,12 +34,42 @@ from .measure_algebra import (SetTransform, enumerate_liftings, is_lifting,
 from .verdict import InternalCheckError, Verdict
 
 
+class MeanValues(Mapping):
+    """The mean values of one function, keyed by the averageable sets and
+    computed on first read; any other key raises ``KeyError``."""
+
+    def __init__(self, space: MeasureSpace, f: PartialFn):
+        self._space = space
+        # f times the weight, atom by atom; 0 off the domain, which is null
+        self._mass = tuple(0 if v is None else v * w
+                           for v, w in zip(f.values, space.weights))
+        self._means: dict[int, Fraction] = {}
+
+    def __getitem__(self, q: int) -> Fraction:
+        mean = self._means.get(q)
+        if mean is None:
+            space = self._space
+            if not (isinstance(q, int) and 0 <= q <= space.full_mask
+                    and q & space.pos_mask):
+                raise KeyError(q)
+            atoms = tuple(bits(q))
+            mean = self._means[q] = (sum(self._mass[i] for i in atoms)
+                                     / sum(space.weights[i] for i in atoms))
+        return mean
+
+    def __iter__(self):
+        return iter(averageable_sets(self._space))
+
+    def __len__(self) -> int:
+        return len(averageable_sets(self._space))
+
+
 @dataclass(frozen=True)
 class LebesgueTransform:
     """All mean values of one function, indexed by the averageable sets."""
 
     space: MeasureSpace
-    values: dict  # averageable set mask -> Fraction
+    values: Mapping  # averageable set mask -> Fraction, computed on demand
 
     def __call__(self, q: int) -> Fraction:
         return self.values[q]
@@ -75,7 +112,8 @@ class DifferentiationBasis:
 
 
 def lebesgue_transform(space: MeasureSpace, f: PartialFn) -> LebesgueTransform:
-    """Mean values of an a.e.-defined function over every averageable set.
+    """Mean values of an a.e.-defined function over every averageable set,
+    each computed when it is first read.
 
     Undefined atoms are null, so they carry no mass: the transform only
     sees the a.e. class of ``f``.
@@ -84,12 +122,7 @@ def lebesgue_transform(space: MeasureSpace, f: PartialFn) -> LebesgueTransform:
         raise ValueError("function lives on a different space")
     if not f.defined_ae():
         raise ValueError("function must be defined almost everywhere")
-    values = {}
-    for q in averageable_sets(space):
-        integral = sum((f(i) * space.weights[i] for i in bits(q & f.domain)),
-                       Fraction(0))
-        values[q] = integral / measure(space, q)
-    return LebesgueTransform(space, values)
+    return LebesgueTransform(space, MeanValues(space, f))
 
 
 def limiting_operator(space: MeasureSpace, kernel: FilterKernel, lam) -> PartialFn:

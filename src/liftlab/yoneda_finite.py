@@ -11,7 +11,7 @@ wherever both are feasible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import product
 
 from .filter_calculus import (Filter, FiniteTopSpace, direct_image,
@@ -161,18 +161,26 @@ def enumerate_natural_raw(z_ground, x_count: int, probes: ProbeFamily,
 
 
 def enumerate_natural(z_ground, x_count: int, probes: ProbeFamily,
-                      raw_cap: int = RAW_CAP) -> tuple[list[TauCandidate], str]:
+                      raw_cap: int = RAW_CAP,
+                      induced=None) -> tuple[list[TauCandidate], str]:
     """All natural candidates, by raw enumeration when feasible, else by
-    the kernel-indexed construction (distinctness re-checked)."""
+    the kernel-indexed construction (distinctness re-checked).
+
+    ``induced`` maps a kernel to its candidate; it defaults to
+    ``tau_from_kernel`` over ``probes``.
+    """
     z_ground = tuple(z_ground)
     z_len = len(z_ground)
     if raw_table_space(z_len, x_count, probes) <= raw_cap:
         return enumerate_natural_raw(z_ground, x_count, probes, raw_cap), "raw"
+    if induced is None:
+        def induced(filters):
+            return tau_from_kernel(filters, probes)
     out = []
     for assignment in product(range(z_len), repeat=x_count):
         filters = tuple(principal_ultrafilter(z_ground, z_ground[i])
                         for i in assignment)
-        out.append(tau_from_kernel(filters, probes))
+        out.append(induced(filters))
     for i, a in enumerate(out):
         for b in out[i + 1:]:
             if a.tables == b.tables:
@@ -218,14 +226,22 @@ def yoneda_roundtrip(z_size: int, x_size: int,
 
     The candidate count must be |Z|^|X|; extraction must biject onto the
     pointwise-ultrafilter kernels; and the two composites must be
-    identities.
+    identities.  Each kernel's candidate is built once per call and shared
+    by the enumeration and both round trips.
+
+    In structured mode the candidates are built from every kernel, so the
+    count is |Z|^|X| by construction, and ``bijection_ok`` and
+    ``roundtrip_candidates_ok`` follow from ``roundtrip_kernels_ok``
+    (the construction is deterministic): only ``roundtrip_kernels_ok`` can
+    fail on its own there.  In raw mode all four are independent.
     """
     z_ground = tuple(range(z_size))
     probes = (ProbeFamily(tuple(probe_sizes)) if probe_sizes
               else default_probes(z_size))
     if z_size not in probes.sizes:
         raise ValueError("probe family must contain the ultrafilter probe of Z")
-    candidates, mode = enumerate_natural(z_ground, x_size, probes, raw_cap)
+    induced = cache(lambda filters: tau_from_kernel(filters, probes))
+    candidates, mode = enumerate_natural(z_ground, x_size, probes, raw_cap, induced)
     expected = z_size ** x_size
 
     extracted = []
@@ -236,12 +252,11 @@ def yoneda_roundtrip(z_size: int, x_size: int,
     bijection_ok = sorted(extracted) == every_kernel
 
     roundtrip_candidates_ok = all(
-        tau_from_kernel(kernel_from_tau(tau), probes).tables == tau.tables
-        for tau in candidates)
+        induced(kernel_from_tau(tau)).tables == tau.tables for tau in candidates)
     roundtrip_kernels_ok = True
     for points in every_kernel:
         filters = tuple(principal_ultrafilter(z_ground, p) for p in points)
-        if kernel_from_tau(tau_from_kernel(filters, probes)) != filters:
+        if kernel_from_tau(induced(filters)) != filters:
             roundtrip_kernels_ok = False
             break
 

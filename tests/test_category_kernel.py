@@ -74,6 +74,17 @@ class TestCatRpmRoundtrip:
         assert len(calls) == built
         assert "objects" not in repr(c)
 
+    def test_positions_index_the_objects(self):
+        for c in CATS.values():
+            assert c.position == {u: c.objects.index(u) for u in c.objects}
+            assert "position" not in repr(c)
+        source, target = CATS["2"], CATS["3"]
+        functors = enumerate_functors(source, target)
+        for t in functors:
+            for s in functors:
+                for tau in enumerate_nat_trans(t, s):
+                    assert tuple(tau.component(u) for u in source.objects) == tau.components
+
 
 class TestHomSets:
     def test_single_arrow_category(self):

@@ -306,6 +306,16 @@ class TestSpaceCommands:
         assert report["lifting_count"] == 2
         assert report["round_trips_identical"] is True
 
+    def test_theorem1_on_ten_atoms(self, runner, tmp_path):
+        doc = write(tmp_path, "s10.json",
+                    {"kind": "measure_space",
+                     "weights": ["3", "1", "0", "2", "5", "1", "4", "2", "7", "1"]})
+        result = runner.invoke(main, ["space", "theorem1", doc, "--format", "json"])
+        assert result.exit_code == 0
+        report = json.loads(result.stdout)
+        assert report["lifting_count"] == 9
+        assert report["all_pass"] is True and report["round_trips_identical"] is True
+
 
 class TestPmCommands:
     def test_classify_subtraction_fixture(self, runner, tmp_path):

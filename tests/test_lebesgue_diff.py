@@ -1,9 +1,11 @@
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import liftlab.lebesgue_diff as leb
 import liftlab.measure_algebra as ma
@@ -18,9 +20,9 @@ from liftlab.lebesgue_diff import (NOT_REACHED, FilterKernel,
                                    separating_function, verify_theorem1)
 from liftlab.measure_algebra import (BooleanHom, SetTransform,
                                      enumerate_liftings, identity_transform)
-from liftlab.measure_space import (averageable_sets, build_space,
-                                   conditional_prob, indicator, partial_fn,
-                                   total_fn)
+from liftlab.measure_space import (averageable_sets, bits, build_space,
+                                   conditional_prob, indicator, measure,
+                                   partial_fn, total_fn)
 
 A, B, N = 1, 2, 4
 LAMBDA_A = (0, 5, 2, 7, 0, 5, 2, 7)
@@ -80,6 +82,69 @@ class TestLebesgueTransform:
             same_transform = (lebesgue_transform(s1, f).values
                               == lebesgue_transform(s1, g).values)
             assert same_class == same_transform
+
+
+@st.composite
+def spaces_and_functions(draw):
+    """A space of at most six atoms and a function on it, undefined on a
+    drawn part of the null atoms."""
+    weights = draw(st.lists(st.fractions(0, 5, max_denominator=4),
+                            min_size=1, max_size=6))
+    if not any(weights):
+        weights[0] = 1
+    space = build_space(weights)
+    values = {x: draw(st.fractions(-20, 20, max_denominator=6))
+              for x in range(space.n)
+              if (space.pos_mask >> x) & 1 or draw(st.booleans())}
+    return space, partial_fn(space, values)
+
+
+def eager_means(space, f):
+    return {q: sum((f(i) * space.weights[i] for i in bits(q & f.domain)), Fraction(0))
+               / measure(space, q)
+            for q in averageable_sets(space)}
+
+
+class TestLazyMeans:
+    @settings(max_examples=100, deadline=None)
+    @given(spaces_and_functions(), st.randoms(use_true_random=False))
+    def test_every_mean_equals_the_eager_formula(self, case, rng):
+        space, f = case
+        eager = eager_means(space, f)
+        lam = lebesgue_transform(space, f)
+        order = list(averageable_sets(space))
+        rng.shuffle(order)
+        for q in order + order:  # a second read comes from the cache
+            assert lam(q) == lam.values[q] == eager[q]
+        assert dict(lam.values) == eager and lam.values == eager
+
+    @settings(max_examples=50, deadline=None)
+    @given(spaces_and_functions())
+    def test_key_error_off_the_averageable_sets(self, case):
+        space, f = case
+        values = lebesgue_transform(space, f).values
+        for q in (0, space.full_mask + 1, -1, *range(1, space.full_mask + 1)):
+            if q in averageable_sets(space):
+                assert q in values
+                continue
+            assert q not in values
+            with pytest.raises(KeyError):
+                values[q]
+
+    def test_null_sets_raise_key_error(self, s2):
+        values = lebesgue_transform(s2, total_fn(s2, [1, 2, 3, 4])).values
+        for q in (0, 4, 8, 12):
+            with pytest.raises(KeyError):
+                values[q]
+
+    def test_length_and_keys_compute_no_mean(self, s2, monkeypatch):
+        lam = lebesgue_transform(s2, total_fn(s2, [1, 2, 3, 4]))
+        read = []
+        monkeypatch.setattr(leb, "bits", lambda q: read.append(q) or bits(q))
+        assert len(lam.values) == len(averageable_sets(s2)) == 12
+        assert list(lam.values) == list(averageable_sets(s2))
+        assert read == []
+        assert lam(3) == Fraction(3, 2) and read == [3]
 
 
 class TestLimitingOperator:

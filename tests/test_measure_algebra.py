@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import liftlab.measure_algebra as ma
 from liftlab.measure_algebra import (BooleanHom, SetTransform,
                                      TransformProperty, algebra_classes,
                                      brute_force_liftings, check_property,
@@ -247,6 +248,13 @@ class TestOracles:
 
     def test_sampled_oracle_on_s2(self, s2):
         assert sampled_lifting_oracle(s2, samples=800, seed=3)
+
+    def test_sampled_oracle_enumerates_once(self, s2, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ma, "enumerate_liftings",
+                            lambda sp: calls.append(sp) or enumerate_liftings(sp))
+        assert sampled_lifting_oracle(s2, samples=20, seed=1)
+        assert calls == [s2]
 
     def test_brute_force_guard(self, s2):
         with pytest.raises(ValueError, match="too many"):

@@ -2,6 +2,8 @@ from itertools import product
 
 import pytest
 
+import liftlab.yoneda_finite as yf
+
 from liftlab.filter_calculus import (is_ultrafilter, principal_ultrafilter,
                                      trivial_filter)
 from liftlab.lebesgue_diff import kernel_from_lifting, lower_density_from_kernel
@@ -149,6 +151,40 @@ class TestYonedaRoundtrip:
     def test_probe_family_must_reach_z(self):
         with pytest.raises(ValueError, match="ultrafilter probe"):
             yoneda_roundtrip(3, 1, probe_sizes=(1, 2))
+
+    @pytest.mark.parametrize("z_size,x_size,mode", [(2, 2, "raw"), (3, 2, "structured")])
+    def test_each_kernel_builds_its_candidate_once(self, monkeypatch, z_size, x_size,
+                                                   mode):
+        built = []
+        original = yf.tau_from_kernel
+
+        def counted(filters, probes):
+            built.append(filters)
+            return original(filters, probes)
+
+        monkeypatch.setattr(yf, "tau_from_kernel", counted)
+        report = yoneda_roundtrip(z_size, x_size)
+        assert report.mode == mode and report.all_pass
+        assert len(built) == len(set(built)) == z_size ** x_size
+
+    @pytest.mark.parametrize("z_size,x_size,mode", [(2, 2, "raw"), (3, 2, "structured"),
+                                                    (4, 1, "structured")])
+    def test_off_by_one_extraction_fails_the_kernel_roundtrip(self, monkeypatch,
+                                                              z_size, x_size, mode):
+        original = yf.kernel_from_tau
+
+        def off_by_one(tau):
+            z = tau.z_ground
+            return tuple(principal_ultrafilter(z, z[(z.index(f.kernel_elements()[0]) + 1)
+                                                   % len(z)])
+                         for f in original(tau))
+
+        monkeypatch.setattr(yf, "kernel_from_tau", off_by_one)
+        report = yoneda_roundtrip(z_size, x_size)
+        assert report.mode == mode
+        assert report.roundtrip_kernels_ok is False
+        assert report.roundtrip_candidates_ok is False
+        assert not report.all_pass
 
 
 class TestCrossModuleAgreement:

@@ -11,11 +11,12 @@ equivalence is one of the statements under test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product
 
 from .partial_magma import (PartialMagma, build_pm, classify, hmul,
-                            matrix_magma, nat_subtraction_magma, units, vmul)
+                            matrix_magma, nat_subtraction_magma, vmul)
 from .verdict import CapacityError, InternalCheckError, Verdict
 
 ENUMERATION_CAP = 10_000_000
@@ -187,15 +188,61 @@ def identity_functor(cat: FiniteCategory) -> Functor:
 
 
 def enumerate_functors(c: FiniteCategory, d: FiniteCategory) -> tuple[Functor, ...]:
-    """Brute force over all arrow maps, filtered by the functor laws."""
-    if d.pm.n ** c.pm.n > ENUMERATION_CAP:
+    """All functors c -> d, by a search that follows their structure.
+
+    The object map comes first, over the objects of d; each identity goes
+    to its object's image.  Each other arrow x then ranges over
+    hom_d(F dom x, F cod x), so units, domains and codomains are preserved
+    by construction, and so is every product with an identity factor.  The
+    remaining law is checked on each product p∘q = r of two non-identity
+    arrows as soon as F(p), F(q) and F(r) are all assigned, and a branch
+    that breaks it is cut.  The functors come back sorted by arrow map,
+    the order of the full product over arrow maps.
+
+    ``ENUMERATION_CAP`` bounds the searched space before the search starts:
+    the number of object maps, and the sum over object maps of the product
+    of the candidate hom-set sizes, which is the number of leaves without
+    pruning.  Either one above the cap raises ``CapacityError``.
+    """
+    if len(d.objects) ** len(c.objects) > ENUMERATION_CAP:
         raise CapacityError("functor search space too large")
+    proper = [x for x in c.arrows if x not in c.position]
+    homs = {(u, v): hom_set(d, u, v) for u in d.objects for v in d.objects}
+    space = 0
+    for images in product(d.objects, repeat=len(c.objects)):
+        f = dict(zip(c.objects, images))
+        space += math.prod(len(homs[f[c.dom[x]], f[c.cod[x]]]) for x in proper)
+        if space > ENUMERATION_CAP:
+            raise CapacityError("functor search space too large")
+
+    step = {x: i for i, x in enumerate(proper)}
+    # checks[i]: the products whose last member to be assigned is proper[i];
+    # an identity r is assigned with the object map
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in proper]
+    for p in proper:
+        for q in proper:
+            r = c.compose(p, q)
+            if r is not None:
+                checks[max(step[p], step[q], step.get(r, -1))].append((p, q, r))
+    arrow_map = [0] * c.pm.n
     out = []
-    for assignment in product(range(d.pm.n), repeat=c.pm.n):
-        f = Functor(c, d, assignment)
-        if validate_functor(f):
-            out.append(f)
-    return tuple(out)
+
+    def extend(i: int):
+        if i == len(proper):
+            out.append(Functor(c, d, tuple(arrow_map)))
+            return
+        x = proper[i]
+        for y in homs[arrow_map[c.dom[x]], arrow_map[c.cod[x]]]:
+            arrow_map[x] = y
+            if all(d.compose(arrow_map[p], arrow_map[q]) == arrow_map[r]
+                   for p, q, r in checks[i]):
+                extend(i + 1)
+
+    for images in product(d.objects, repeat=len(c.objects)):
+        for u, v in zip(c.objects, images):
+            arrow_map[u] = v
+        extend(0)
+    return tuple(sorted(out, key=lambda f: f.arrow_map))
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +435,8 @@ def functor_category(c: FiniteCategory, d: FiniteCategory) -> FunctorCategoryRes
     for s in functors:          # target functor
         for t in functors:      # source functor
             arrows.extend(enumerate_nat_homs(t, s))
-    ordered = sorted(
-        arrows,
-        key=lambda a: (functors.index(a.source), functors.index(a.target), a.assignment))
+    rank = {f: i for i, f in enumerate(functors)}
+    ordered = sorted(arrows, key=lambda a: (rank[a.source], rank[a.target], a.assignment))
     index = {(a.source, a.target, a.assignment): i for i, a in enumerate(ordered)}
     n = len(ordered)
     table = [[None] * n for _ in range(n)]
@@ -437,10 +483,3 @@ def named_categories() -> dict[str, FiniteCategory]:
         pm, labels = matrix_magma(dims)
         out[name] = cat_from_rpm(pm, labels)
     return out
-
-
-def example_library() -> dict[str, object]:
-    lib: dict[str, object] = {}
-    lib.update(named_categories())
-    lib.update(named_magmas())
-    return lib

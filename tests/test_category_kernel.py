@@ -1,9 +1,11 @@
+import time
 from itertools import product
 
 import pytest
 
-from liftlab.category_kernel import (FiniteCategory, Functor, NatHom,
-                                     NatTrans, TwinArrow, cat_from_rpm,
+import liftlab.category_kernel as category_kernel
+from liftlab.category_kernel import (ENUMERATION_CAP, FiniteCategory, Functor,
+                                     NatHom, NatTrans, TwinArrow, cat_from_rpm,
                                      compose_nat, enumerate_functors,
                                      enumerate_nat_homs, enumerate_nat_trans,
                                      functor_category, hom_from_nat, hom_set,
@@ -12,8 +14,10 @@ from liftlab.category_kernel import (FiniteCategory, Functor, NatHom,
                                      nat_from_hom, rpm_from_cat,
                                      twin_category, twin_hom_cases,
                                      validate_functor, validate_nat_hom,
-                                     validate_nat_trans, example_library)
-from liftlab.partial_magma import is_pm_hom, regular_tables, units
+                                     validate_nat_trans)
+from liftlab.partial_magma import build_pm, is_pm_hom, regular_tables, units
+from liftlab.suite import natequiv_report
+from liftlab.verdict import CapacityError
 
 
 CATS = named_categories()
@@ -215,6 +219,91 @@ class TestFunctors:
         assert not v
 
 
+def _brute_force_functors(c: FiniteCategory, d: FiniteCategory) -> tuple[Functor, ...]:
+    """Every arrow map, filtered by the functor laws: the oracle."""
+    out = []
+    for assignment in product(range(d.pm.n), repeat=c.pm.n):
+        f = Functor(c, d, assignment)
+        if validate_functor(f):
+            out.append(f)
+    return tuple(out)
+
+
+REGULAR_CATS = [cat_from_rpm(pm) for n in (1, 2, 3) for pm in regular_tables(n)]
+
+
+class TestFunctorSearch:
+    @pytest.mark.parametrize("cname, dname", [
+        (a, b) for a in CATS for b in CATS
+        if CATS[b].pm.n ** CATS[a].pm.n <= ENUMERATION_CAP])
+    def test_named_pairs_match_the_brute_force(self, cname, dname):
+        c, d = CATS[cname], CATS[dname]
+        assert enumerate_functors(c, d) == _brute_force_functors(c, d)
+
+    def test_small_regular_magmas_match_the_brute_force(self):
+        # one-object monoids among them have hom-sets of two and three
+        # arrows, so only these pairs exercise the composition pruning
+        assert len(REGULAR_CATS) == 58
+        assert any(len(c.objects) == 1 and c.pm.n == 3 for c in REGULAR_CATS)
+        for c in REGULAR_CATS:
+            for d in REGULAR_CATS:
+                assert enumerate_functors(c, d) == _brute_force_functors(c, d)
+
+    def test_cap_bounds_the_leaves_exactly(self, monkeypatch):
+        # a three-arrow monoid to itself: one object map, and each of the
+        # two non-identity arrows has three candidates, so 9 leaves
+        m = next(c for c in REGULAR_CATS if len(c.objects) == 1 and c.pm.n == 3)
+        monkeypatch.setattr(category_kernel, "ENUMERATION_CAP", 9)
+        assert enumerate_functors(m, m) == _brute_force_functors(m, m)
+        monkeypatch.setattr(category_kernel, "ENUMERATION_CAP", 8)
+        with pytest.raises(CapacityError):
+            enumerate_functors(m, m)
+
+    def test_too_many_object_maps_refused_fast(self):
+        n = 12
+        discrete = cat_from_rpm(build_pm(n, [[x if x == y else None for y in range(n)]
+                                             for x in range(n)]))
+        assert len(discrete.objects) == n
+        started = time.monotonic()
+        with pytest.raises(CapacityError):
+            enumerate_functors(discrete, discrete)
+        assert time.monotonic() - started < 0.5
+
+
+def _poset(c: FiniteCategory) -> set[tuple[int, int]]:
+    """The object order u <= v iff hom(u, v) is inhabited; c must be thin."""
+    sizes = {(u, v): len(hom_set(c, u, v)) for u in c.objects for v in c.objects}
+    assert max(sizes.values()) == 1
+    return {uv for uv, k in sizes.items() if k}
+
+
+def _monotone_counts(c: FiniteCategory, d: FiniteCategory) -> tuple[int, int]:
+    """Monotone maps between the object orders, and pointwise-<= pairs of them."""
+    le_c, le_d = _poset(c), _poset(d)
+    maps = [dict(zip(c.objects, images))
+            for images in product(d.objects, repeat=len(c.objects))]
+    monotone = [f for f in maps if all((f[u], f[v]) in le_d for u, v in le_c)]
+    pairs = sum(all((f[u], g[u]) in le_d for u in c.objects)
+                for f in monotone for g in monotone)
+    return len(monotone), pairs
+
+
+class TestNatEquivOnNamedPairs:
+    @pytest.mark.parametrize("cname, dname", [(a, b) for a in CATS for b in CATS])
+    def test_appendix_claim_with_poset_counts(self, cname, dname):
+        rep = natequiv_report(cname, dname)
+        functors, pairs = _monotone_counts(CATS[cname], CATS[dname])
+        assert rep["pass"] and rep["mismatched_pairs"] == []
+        assert rep["functors"] == functors
+        assert rep["arrow_indexed"] == rep["object_indexed"] == pairs
+
+    def test_counts_past_the_old_cap(self):
+        expected = {("3", "SQ"): (16, 100), ("SQ", "3"): (20, 168),
+                    ("SQ", "SQ"): (36, 400)}
+        for (cname, dname), counts in expected.items():
+            assert _monotone_counts(CATS[cname], CATS[dname]) == counts
+
+
 class TestTransformEncodings:
     def test_identity_nat_hom_extracts_identity_components(self):
         for c in (CATS["2"], CATS["3"]):
@@ -366,10 +455,10 @@ class TestFunctorCategoryIsomorphisms:
 
 class TestExampleLibrary:
     def test_merged_library_keys(self):
-        lib = example_library()
-        for key in ("1", "2", "II", "3", "SQ", "M1", "M3", "MSQ", "nat_sub"):
-            assert key in lib
+        for key in ("1", "2", "II", "3", "SQ"):
+            assert key in named_categories()
+        for key in ("M1", "M3", "MSQ", "nat_sub"):
+            assert key in named_magmas()
 
     def test_magma_units_match_category_objects(self):
-        lib = example_library()
-        assert units(lib["M6"]) == lib["3"].objects
+        assert units(named_magmas()["M6"]) == named_categories()["3"].objects

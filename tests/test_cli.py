@@ -109,8 +109,6 @@ BAD_INPUT = {
     "yoneda_string_size": (["yoneda", "roundtrip", "-"], _yoneda("2")),
     "yoneda_float_size": (["yoneda", "roundtrip", "-"], _yoneda(2.5)),
     "yoneda_boolean_size": (["yoneda", "roundtrip", "-"], _yoneda(True)),
-    "natequiv_sq_to_3": (["cat", "natequiv", "--source", "SQ", "--target", "3"], None),
-    "natequiv_sq_to_sq": (["cat", "natequiv", "--source", "SQ", "--target", "SQ"], None),
     "huge_exponent_weight": (["space", "liftings", "-"],
                              _doc({"kind": "measure_space", "weights": ["1e9999999", "1"]})),
     "huger_exponent_weight": (["space", "liftings", "-"],
@@ -153,6 +151,14 @@ class TestExceptionBoundary:
             {"kind": "partial_magma", "n": 1, "table": [[0]]}))
         assert result.exit_code == 3
         assert result.stderr == "internal error: chain rule broken at (0, 1)\n"
+        assert result.stdout == ""
+
+    def test_readme_size_cap_example_exits_2(self, runner):
+        result = runner.invoke(main, ["yoneda", "roundtrip", "--z-size", "5",
+                                      "--x-size", "1"])
+        assert result.exit_code == 2
+        assert result.stderr == ("input error: sizes out of the supported range "
+                                 "(z <= 4, x <= 3)\n")
         assert result.stdout == ""
 
     def test_a_bug_is_not_passed_off_as_bad_input(self, runner, monkeypatch):
@@ -382,6 +388,19 @@ class TestCatCommands:
         result = runner.invoke(main, ["cat", "natequiv", "--source", "2",
                                       "--target", "nope"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("source, target, functors, transformations", [
+        ("SQ", "3", 20, 168),
+        ("SQ", "SQ", 36, 400),
+    ], ids=["sq_to_3", "sq_to_sq"])
+    def test_natequiv_from_the_square(self, runner, source, target, functors,
+                                      transformations):
+        result = runner.invoke(main, ["cat", "natequiv", "--source", source,
+                                      "--target", target, "--format", "json"])
+        assert result.exit_code == 0
+        report = json.loads(result.stdout)
+        assert report["functors"] == functors
+        assert report["arrow_indexed"] == report["object_indexed"] == transformations
 
 
 class TestYonedaCommand:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 
 from .partial_magma import (PartialMagma, build_pm, classify, hmul,
@@ -111,6 +112,13 @@ def twin_hom_cases(cat: FiniteCategory, x: int, y: int) -> tuple[TwinArrow, ...]
             if is_twin_arrow(cat, x, y, (z1, z2)):
                 out.append(TwinArrow(x, y, (z1, z2)))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _twin_pairs(cat: FiniteCategory, x: int, y: int) -> tuple[tuple[int, int], ...]:
+    """The pairs of ``twin_hom_cases(cat, x, y)``, searched once per
+    (category, x, y) however many transformations read them."""
+    return tuple(tw.pair for tw in twin_hom_cases(cat, x, y))
 
 
 @dataclass(frozen=True)
@@ -382,8 +390,7 @@ def enumerate_nat_homs(t: Functor, s: Functor) -> tuple[NatHom, ...]:
     """
     _check_parallel(t, s)
     c, d = t.source, t.target
-    pointwise = [tuple(tw.pair for tw in twin_hom_cases(d, t(x), s(x)))
-                 for x in c.arrows]
+    pointwise = [_twin_pairs(d, t(x), s(x)) for x in c.arrows]
     space = 1
     for cands in pointwise:
         space *= len(cands)

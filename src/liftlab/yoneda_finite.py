@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import product
+from operator import itemgetter
 
 from .filter_calculus import (Filter, FiniteTopSpace, direct_image,
                               is_ultrafilter, limit_along,
@@ -30,6 +31,29 @@ def all_functions(source_size: int, target_size: int) -> tuple[tuple[int, ...], 
 
 def compose(phi: tuple[int, ...], f: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(phi[v] for v in f)
+
+
+@lru_cache(maxsize=None)
+def function_index(source_size: int, target_size: int) -> dict[tuple[int, ...], int]:
+    """Each function's position in ``all_functions(source_size, target_size)``."""
+    return {f: i for i, f in enumerate(all_functions(source_size, target_size))}
+
+
+@lru_cache(maxsize=None)
+def composite_indices(n: int, s: int, t: int) -> tuple[tuple[int, ...], ...]:
+    """Per phi in ``all_functions(s, t)``, the index of phi∘g in
+    ``all_functions(n, t)`` for each g in ``all_functions(n, s)``, in order.
+
+    The index of a function is its values read as a base-``t`` numeral,
+    first value most significant, so each row is built one digit at a time.
+    """
+    out = []
+    for phi in all_functions(s, t):
+        row = [0]
+        for _ in range(n):
+            row = [i * t + v for i in row for v in phi]
+        out.append(tuple(row))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -70,15 +94,41 @@ class TauCandidate:
 
 
 def is_natural(tau: TauCandidate) -> Verdict:
-    """Exhaustive naturality over every probe morphism and every input."""
+    """Exhaustive naturality over every probe morphism and every input.
+
+    Each table of ``tau`` becomes a row of output indices: ``rows[s][i]``
+    is the index in ``all_functions(x_count, s)`` of the output at the
+    i-th input of ``all_functions(|Z|, s)``.  For each morphism phi: s -> t
+    the squares tau_t(phi∘fn) == phi∘tau_s(fn), one per fn, are then
+    decided by one comparison of two index sequences: ``rows[t]`` gathered
+    at ``composite_indices(|Z|, s, t)[phi]``, and
+    ``composite_indices(x_count, s, t)[phi]`` gathered at ``rows[s]``.
+    No square is skipped; on failure the witness is the first
+    (s, t, phi, fn) in lexicographic order.  Every table must be total,
+    with function-valued outputs.
+    """
     z_len = len(tau.z_ground)
     sizes = tau.probes.sizes
+    rows = {}
     for s in sizes:
+        index = function_index(tau.x_count, s)
+        table = tau.tables[s]
+        rows[s] = tuple([index[table[fn]] for fn in all_functions(z_len, s)])
+    for s in sizes:
+        row_s = rows[s]
+        # a one-entry row gathers a bare item, on both sides alike
+        through_s = itemgetter(*row_s)
         for t in sizes:
-            for phi in all_functions(s, t):
-                for fn in all_functions(z_len, s):
-                    if tau.value(t, compose(phi, fn)) != compose(phi, tau.value(s, fn)):
-                        return Verdict.fail((s, t, phi, fn), "naturality square broken")
+            row_t = rows[t]
+            z_side = composite_indices(z_len, s, t)
+            x_side = composite_indices(tau.x_count, s, t)
+            for p, (on_z, on_x) in enumerate(zip(z_side, x_side)):
+                if itemgetter(*on_z)(row_t) != through_s(on_x):
+                    k = next(k for k, (j, o) in enumerate(zip(on_z, row_s))
+                             if row_t[j] != on_x[o])
+                    return Verdict.fail((s, t, all_functions(s, t)[p],
+                                         all_functions(z_len, s)[k]),
+                                        "naturality square broken")
     return Verdict.ok()
 
 

@@ -304,6 +304,44 @@ class TestNatEquivOnNamedPairs:
             assert _monotone_counts(CATS[cname], CATS[dname]) == counts
 
 
+def _uncached_nat_homs(t: Functor, s: Functor) -> tuple[NatHom, ...]:
+    """``enumerate_nat_homs`` with its candidates read from
+    ``twin_hom_cases`` itself, one search per (x, y) within this call."""
+    d = t.target
+    searched = {}
+    pointwise = []
+    for x in t.source.arrows:
+        key = (t(x), s(x))
+        if key not in searched:
+            searched[key] = tuple(tw.pair for tw in twin_hom_cases(d, *key))
+        pointwise.append(searched[key])
+    return tuple(alpha for alpha in (NatHom(t, s, a) for a in product(*pointwise))
+                 if validate_nat_hom(alpha))
+
+
+class TestTwinPairCache:
+    @pytest.mark.parametrize("cname, dname", [(a, b) for a in CATS for b in CATS])
+    def test_nat_homs_match_the_uncached_search(self, cname, dname):
+        functors = enumerate_functors(CATS[cname], CATS[dname])
+        for t in functors:
+            for s in functors:
+                assert enumerate_nat_homs(t, s) == _uncached_nat_homs(t, s)
+
+    def test_each_square_search_runs_once(self, monkeypatch):
+        searched = []
+        original = category_kernel.twin_hom_cases
+
+        def counted(cat, x, y):
+            searched.append((cat, x, y))
+            return original(cat, x, y)
+
+        monkeypatch.setattr(category_kernel, "twin_hom_cases", counted)
+        category_kernel._twin_pairs.cache_clear()
+        rep = natequiv_report("SQ", "SQ")
+        assert rep["pass"] and rep["arrow_indexed"] == 400
+        assert len(searched) == len(set(searched)) <= CATS["SQ"].pm.n ** 2
+
+
 class TestTransformEncodings:
     def test_identity_nat_hom_extracts_identity_components(self):
         for c in (CATS["2"], CATS["3"]):

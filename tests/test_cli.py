@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -410,6 +411,15 @@ class TestYonedaCommand:
         assert result.exit_code == 0
         report = json.loads(result.stdout)
         assert report["candidate_count"] == 2 and report["mode"] == "raw"
+
+    def test_largest_supported_sizes(self, runner):
+        started = time.monotonic()
+        result = runner.invoke(main, ["yoneda", "roundtrip", "--z-size", "4",
+                                      "--x-size", "3", "--format", "json"])
+        assert time.monotonic() - started < 10
+        assert result.exit_code == 0
+        report = json.loads(result.stdout)
+        assert report["candidate_count"] == 64 and report["all_pass"] is True
 
     def test_roundtrip_scenario(self, runner, tmp_path):
         doc = write(tmp_path, "scenario.json", {

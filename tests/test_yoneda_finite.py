@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -11,16 +12,55 @@ from liftlab.measure_algebra import SetTransform
 from liftlab.measure_space import averageable_sets
 from liftlab.yoneda_finite import (ProbeFamily, TauCandidate,
                                    adjunction_bijection, all_functions,
-                                   beta_map, beta_space, default_probes,
+                                   beta_map, beta_space, compose,
+                                   composite_indices, default_probes,
                                    enumerate_natural, enumerate_natural_raw,
                                    is_natural, kernel_from_tau,
                                    tau_from_kernel, yoneda_roundtrip)
+from liftlab.verdict import Verdict
 
 LAMBDA_A = (0, 5, 2, 7, 0, 5, 2, 7)
 
 
 def delta_kernel(z_ground, points):
     return tuple(principal_ultrafilter(z_ground, p) for p in points)
+
+
+def _loop_is_natural(tau, morphisms=all_functions):
+    """The square-by-square loop that ``is_natural`` replaced, kept as its
+    oracle; ``morphisms(s, t)`` lists the probe maps s -> t to check."""
+    z_len = len(tau.z_ground)
+    sizes = tau.probes.sizes
+    for s in sizes:
+        for t in sizes:
+            for phi in morphisms(s, t):
+                for fn in all_functions(z_len, s):
+                    if tau.value(t, compose(phi, fn)) != compose(phi, tau.value(s, fn)):
+                        return Verdict.fail((s, t, phi, fn), "naturality square broken")
+    return Verdict.ok()
+
+
+def _raw_candidates(z_len, x_count):
+    """Every raw table over the default probes, natural or not."""
+    probes = default_probes(z_len)
+    keys = [(s, fn) for s in probes.sizes for fn in all_functions(z_len, s)]
+    for combo in product(*(all_functions(x_count, s) for s, _ in keys)):
+        tables = {s: {} for s in probes.sizes}
+        for (s, fn), out in zip(keys, combo):
+            tables[s][fn] = out
+        yield TauCandidate(tuple(range(z_len)), x_count, probes, tables)
+
+
+def _kernel_candidates(z_len, x_count):
+    z = tuple(range(z_len))
+    return [tau_from_kernel(delta_kernel(z, points), default_probes(z_len))
+            for points in product(z, repeat=x_count)]
+
+
+def _with_entry(tau, s, fn, out):
+    tables = {size: dict(table) for size, table in tau.tables.items()}
+    tables[s][fn] = out
+    return TauCandidate(tau.z_ground, tau.x_count, tau.probes, tables)
 
 
 class TestBetaSpace:
@@ -138,6 +178,72 @@ class TestEnumeration:
         assert mode == "raw"
         _, mode = enumerate_natural((0, 1, 2), 1, default_probes(3))
         assert mode == "structured"
+
+
+class TestNaturalityOracle:
+    """``is_natural`` against the square-by-square loop: same verdict, same
+    first witness, same reason."""
+
+    def test_every_raw_table(self):
+        seen = naturals = 0
+        for z_len, x_count in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            for tau in _raw_candidates(z_len, x_count):
+                verdict = is_natural(tau)
+                assert verdict == _loop_is_natural(tau)
+                seen += 1
+                naturals += verdict.holds
+        assert (seen, naturals) == (292, 1 + 1 + 2 + 4)
+
+    def test_every_single_entry_corruption_at_3_1(self):
+        count = 0
+        for base in _kernel_candidates(3, 1):
+            assert is_natural(base) == _loop_is_natural(base) == Verdict.ok()
+            for s, table in base.tables.items():
+                for fn, out in table.items():
+                    for other in all_functions(1, s):
+                        if other != out:
+                            tau = _with_entry(base, s, fn, other)
+                            verdict = is_natural(tau)
+                            assert not verdict
+                            assert verdict == _loop_is_natural(tau)
+                            count += 1
+        assert count == 3 * (8 * 1 + 27 * 2)
+
+    @pytest.mark.parametrize("z_len,x_count,per_base", [(3, 2, 20), (4, 1, 20)])
+    def test_seeded_corruptions(self, z_len, x_count, per_base):
+        rng = random.Random(10 * z_len + x_count)
+        for base in _kernel_candidates(z_len, x_count):
+            for _ in range(per_base):
+                s = rng.choice([s for s in base.probes.sizes if s > 1])
+                fn = rng.choice(all_functions(z_len, s))
+                other = rng.choice([o for o in all_functions(x_count, s)
+                                    if o != base.tables[s][fn]])
+                tau = _with_entry(base, s, fn, other)
+                verdict = is_natural(tau)
+                assert not verdict
+                assert verdict == _loop_is_natural(tau)
+
+    def test_break_seen_only_through_non_surjective_maps(self):
+        # the size-2 table sends each constant input to the other constant:
+        # only the squares out of the one-point probe, and the constant
+        # maps 2 -> 2, see it; every square with a bijective phi holds
+        base = _kernel_candidates(2, 1)[0]
+        tau = _with_entry(_with_entry(base, 2, (0, 0), (1,)), 2, (1, 1), (0,))
+
+        def bijections(s, t):
+            return tuple(phi for phi in all_functions(s, t) if len(set(phi)) == t == s)
+
+        assert _loop_is_natural(tau, bijections) == Verdict.ok()
+        verdict = is_natural(tau)
+        assert verdict == _loop_is_natural(tau)
+        assert verdict.witness == (1, 2, (0,), (0, 0))
+
+    def test_composite_indices_number_the_composites(self):
+        for n, s, t in ((0, 2, 3), (2, 3, 2), (3, 2, 3)):
+            targets = all_functions(n, t)
+            for phi, row in zip(all_functions(s, t), composite_indices(n, s, t)):
+                assert [targets[i] for i in row] == [compose(phi, g)
+                                                     for g in all_functions(n, s)]
 
 
 class TestYonedaRoundtrip:

@@ -358,6 +358,11 @@ def lifting_from_retraction(space: MeasureSpace, g) -> SetTransform:
             raise ValueError(f"retraction sends atom {x} to a null atom")
         if (space.pos_mask >> x) & 1 and gx != x:
             raise ValueError(f"retraction moves the positive atom {x}")
+    return _preimage_transform(space, g)
+
+
+def _preimage_transform(space: MeasureSpace, g) -> SetTransform:
+    """The transform Q |-> {x : g(x) in Q}."""
     table = []
     for q in range(space.full_mask + 1):
         table.append(sum(1 << x for x in range(space.n) if (q >> g[x]) & 1))
@@ -470,10 +475,7 @@ def lower_density_to_lifting(space: MeasureSpace, density: SetTransform) -> SetT
                 raise InternalCheckError("set family is not intersection-closed")
         refined = ultrafilter_refine(filter_from_base(atoms, family))
         target.append(refined.kernel_elements()[0])
-    table = []
-    for q in range(space.full_mask + 1):
-        table.append(sum(1 << x for x in range(space.n) if (q >> target[x]) & 1))
-    lifted = SetTransform(space, tuple(table))
+    lifted = _preimage_transform(space, target)
     full = space.full_mask
     for q in range(full + 1):
         if density.table[q] & ~lifted.table[q]:

@@ -15,7 +15,7 @@ from functools import cache
 from itertools import product
 from typing import Callable, Sequence
 
-from .verdict import CapacityError, InternalCheckError, Verdict
+from .verdict import InternalCheckError, Verdict
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ class InterchangeReport:
                 "holds": self.holds, "violations": [list(v) for v in self.violations]}
 
 
-def interchange_check(pm: PartialMagma, force: bool = False) -> InterchangeReport:
+def interchange_check(pm: PartialMagma) -> InterchangeReport:
     """Exhaustive interchange law on pairs over ``pm``.
 
     Whenever the horizontal product of two vertical products and the
@@ -221,8 +221,6 @@ def interchange_check(pm: PartialMagma, force: bool = False) -> InterchangeRepor
     product, x' and z' with ``hmul(x', x)`` and ``hmul(z', z)`` defined.
     ``quadruples`` still counts all n**8.
     """
-    if pm.n ** 8 > 400_000 and not force:
-        raise CapacityError(f"{pm.n}^8 quadruples is too many; pass force=True")
     pairs = [index_pair(pm.n, e) for e in range(pm.n * pm.n)]
     # after[y]: each pair p with hmul(p, y) defined, with that product
     after = {y: [(p, h) for p in pairs if (h := hmul(p, y)) is not None]

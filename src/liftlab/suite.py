@@ -252,7 +252,7 @@ def run_check(name: str, seed: int = 0) -> dict:
 def run_suite(seed: int = 0, quick: bool = False, parallel: int = 1) -> dict:
     names = [n for n, (_, heavy) in CHECKS.items() if not (quick and heavy)]
     if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+        with ProcessPoolExecutor(max_workers=min(parallel, len(names))) as pool:
             results = list(pool.map(run_check, names, [seed] * len(names)))
     else:
         results = [run_check(n, seed) for n in names]

@@ -34,12 +34,6 @@ def compose(phi: tuple[int, ...], f: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def function_index(source_size: int, target_size: int) -> dict[tuple[int, ...], int]:
-    """Each function's position in ``all_functions(source_size, target_size)``."""
-    return {f: i for i, f in enumerate(all_functions(source_size, target_size))}
-
-
-@lru_cache(maxsize=None)
 def composite_indices(n: int, s: int, t: int) -> tuple[tuple[int, ...], ...]:
     """Per phi in ``all_functions(s, t)``, the index of phi∘g in
     ``all_functions(n, t)`` for each g in ``all_functions(n, s)``, in order.
@@ -78,42 +72,51 @@ def default_probes(z_size: int) -> ProbeFamily:
 
 @dataclass(frozen=True)
 class TauCandidate:
-    """Per probe size, a table from Z-valued inputs to X-valued outputs.
+    """Per probe size, a row of output indices: ``rows[s][i]`` is the index
+    in ``all_functions(x_count, s)`` of the output at the i-th input of
+    ``all_functions(|Z|, s)``.
 
-    Nothing is assumed at construction; naturality is checked, not baked
-    into the representation.
+    The shape of the rows is checked at construction; naturality is
+    checked, not baked into the representation.
     """
 
     z_ground: tuple
     x_count: int
     probes: ProbeFamily
-    tables: dict  # size -> { input tuple -> output tuple }
+    rows: dict  # size -> tuple of output indices
+
+    def __post_init__(self):
+        if set(self.rows) != set(self.probes.sizes):
+            raise ValueError("rows must cover exactly the probe sizes")
+        z_len = len(self.z_ground)
+        for s in self.probes.sizes:
+            row = self.rows[s]
+            if len(row) != s ** z_len:
+                raise ValueError(f"the row of size {s} needs {s ** z_len} entries")
+            if min(row) < 0 or max(row) >= s ** self.x_count:
+                raise ValueError(f"the row of size {s} has an entry out of range")
 
     def value(self, size: int, fn: tuple[int, ...]) -> tuple[int, ...]:
-        return self.tables[size][fn]
+        """The output at the input ``fn``, as a function X -> size."""
+        i = 0
+        for v in fn:
+            i = i * size + v
+        return all_functions(self.x_count, size)[self.rows[size][i]]
 
 
 def is_natural(tau: TauCandidate) -> Verdict:
     """Exhaustive naturality over every probe morphism and every input.
 
-    Each table of ``tau`` becomes a row of output indices: ``rows[s][i]``
-    is the index in ``all_functions(x_count, s)`` of the output at the
-    i-th input of ``all_functions(|Z|, s)``.  For each morphism phi: s -> t
-    the squares tau_t(phi∘fn) == phi∘tau_s(fn), one per fn, are then
-    decided by one comparison of two index sequences: ``rows[t]`` gathered
-    at ``composite_indices(|Z|, s, t)[phi]``, and
-    ``composite_indices(x_count, s, t)[phi]`` gathered at ``rows[s]``.
+    For each morphism phi: s -> t the squares tau_t(phi∘fn) ==
+    phi∘tau_s(fn), one per fn, are decided by one comparison of two index
+    sequences: ``rows[t]`` gathered at ``composite_indices(|Z|, s, t)[phi]``,
+    and ``composite_indices(x_count, s, t)[phi]`` gathered at ``rows[s]``.
     No square is skipped; on failure the witness is the first
-    (s, t, phi, fn) in lexicographic order.  Every table must be total,
-    with function-valued outputs.
+    (s, t, phi, fn) in lexicographic order.
     """
     z_len = len(tau.z_ground)
     sizes = tau.probes.sizes
-    rows = {}
-    for s in sizes:
-        index = function_index(tau.x_count, s)
-        table = tau.tables[s]
-        rows[s] = tuple([index[table[fn]] for fn in all_functions(z_len, s)])
+    rows = tau.rows
     for s in sizes:
         row_s = rows[s]
         # a one-entry row gathers a bare item, on both sides alike
@@ -135,8 +138,10 @@ def is_natural(tau: TauCandidate) -> Verdict:
 def tau_from_kernel(filters, probes: ProbeFamily) -> TauCandidate:
     """The assignment taking limits along a pointwise-ultrafilter kernel.
 
-    Always defined because the probes are finite discrete and the filters
-    principal; the construction is natural, and that is re-checked here.
+    The limit of an input along the principal ultrafilter at z is the
+    input's value at z, so output digit j copies the input digit at the
+    point of the j-th filter.  The construction is natural, and that is
+    re-checked here.
     """
     filters = tuple(filters)
     if not filters:
@@ -147,21 +152,19 @@ def tau_from_kernel(filters, probes: ProbeFamily) -> TauCandidate:
             raise ValueError("kernel filters must share one ground")
         if not is_ultrafilter(f):
             raise ValueError("kernel entry is not an ultrafilter")
-    z_index = {e: i for i, e in enumerate(ground)}
-    z_len = len(ground)
-    tables: dict[int, dict] = {}
+    # an ultrafilter's kernel is one bit: the index of its point
+    points = [f.kernel.bit_length() - 1 for f in filters]
+    x_count = len(filters)
+    rows = {}
     for s in probes.sizes:
-        table = {}
-        for fn in all_functions(z_len, s):
-            out = []
-            for f in filters:
-                val = limit_along(f, lambda e: fn[z_index[e]])
-                if val is None:
-                    raise InternalCheckError("principal limit failed to exist")
-                out.append(val)
-            table[fn] = tuple(out)
-        tables[s] = table
-    tau = TauCandidate(ground, len(filters), probes, tables)
+        # output digit j, worth s ** (x_count - 1 - j), copies input digit
+        # points[j]; rows grow one input digit at a time, like the inputs
+        row = [0]
+        for z in range(len(ground)):
+            weight = sum(s ** (x_count - 1 - j) for j, p in enumerate(points) if p == z)
+            row = [i + v * weight for i in row for v in range(s)]
+        rows[s] = tuple(row)
+    tau = TauCandidate(ground, x_count, probes, rows)
     if not is_natural(tau):
         raise InternalCheckError("kernel-induced assignment is not natural")
     return tau
@@ -190,28 +193,25 @@ def raw_table_space(z_len: int, x_count: int, probes: ProbeFamily) -> int:
     return total
 
 
-def enumerate_natural_raw(z_ground, x_count: int, probes: ProbeFamily,
-                          cap: int = RAW_CAP) -> list[TauCandidate]:
-    """Brute force: every raw table, filtered by naturality."""
+def enumerate_natural_raw(z_ground, x_count: int,
+                          probes: ProbeFamily) -> list[TauCandidate]:
+    """Brute force: every raw table in lexicographic order, filtered by
+    naturality."""
     z_ground = tuple(z_ground)
     z_len = len(z_ground)
-    if raw_table_space(z_len, x_count, probes) > cap:
+    if raw_table_space(z_len, x_count, probes) > RAW_CAP:
         raise CapacityError("raw table space exceeds the enumeration cap")
-    keys = [(s, fn) for s in probes.sizes for fn in all_functions(z_len, s)]
-    choices = [all_functions(x_count, s) for s, _ in keys]
+    sizes = probes.sizes
     out = []
-    for combo in product(*choices):
-        tables: dict[int, dict] = {s: {} for s in probes.sizes}
-        for (s, fn), val in zip(keys, combo):
-            tables[s][fn] = val
-        tau = TauCandidate(z_ground, x_count, probes, tables)
+    for combo in product(*(product(range(s ** x_count), repeat=s ** z_len)
+                           for s in sizes)):
+        tau = TauCandidate(z_ground, x_count, probes, dict(zip(sizes, combo)))
         if is_natural(tau):
             out.append(tau)
     return out
 
 
 def enumerate_natural(z_ground, x_count: int, probes: ProbeFamily,
-                      raw_cap: int = RAW_CAP,
                       induced=None) -> tuple[list[TauCandidate], str]:
     """All natural candidates, by raw enumeration when feasible, else by
     the kernel-indexed construction (distinctness re-checked).
@@ -221,8 +221,8 @@ def enumerate_natural(z_ground, x_count: int, probes: ProbeFamily,
     """
     z_ground = tuple(z_ground)
     z_len = len(z_ground)
-    if raw_table_space(z_len, x_count, probes) <= raw_cap:
-        return enumerate_natural_raw(z_ground, x_count, probes, raw_cap), "raw"
+    if raw_table_space(z_len, x_count, probes) <= RAW_CAP:
+        return enumerate_natural_raw(z_ground, x_count, probes), "raw"
     if induced is None:
         def induced(filters):
             return tau_from_kernel(filters, probes)
@@ -233,7 +233,7 @@ def enumerate_natural(z_ground, x_count: int, probes: ProbeFamily,
         out.append(induced(filters))
     for i, a in enumerate(out):
         for b in out[i + 1:]:
-            if a.tables == b.tables:
+            if a.rows == b.rows:
                 raise InternalCheckError("distinct kernels induced equal candidates")
     return out, "structured"
 
@@ -269,9 +269,7 @@ class YonedaReport:
         }
 
 
-def yoneda_roundtrip(z_size: int, x_size: int,
-                     probe_sizes: tuple[int, ...] | None = None,
-                     raw_cap: int = RAW_CAP) -> YonedaReport:
+def yoneda_roundtrip(z_size: int, x_size: int) -> YonedaReport:
     """Count the natural candidates and verify both round trips.
 
     The candidate count must be |Z|^|X|; extraction must biject onto the
@@ -286,12 +284,9 @@ def yoneda_roundtrip(z_size: int, x_size: int,
     fail on its own there.  In raw mode all four are independent.
     """
     z_ground = tuple(range(z_size))
-    probes = (ProbeFamily(tuple(probe_sizes)) if probe_sizes
-              else default_probes(z_size))
-    if z_size not in probes.sizes:
-        raise ValueError("probe family must contain the ultrafilter probe of Z")
+    probes = default_probes(z_size)
     induced = cache(lambda filters: tau_from_kernel(filters, probes))
-    candidates, mode = enumerate_natural(z_ground, x_size, probes, raw_cap, induced)
+    candidates, mode = enumerate_natural(z_ground, x_size, probes, induced)
     expected = z_size ** x_size
 
     extracted = []
@@ -302,7 +297,7 @@ def yoneda_roundtrip(z_size: int, x_size: int,
     bijection_ok = sorted(extracted) == every_kernel
 
     roundtrip_candidates_ok = all(
-        induced(kernel_from_tau(tau)).tables == tau.tables for tau in candidates)
+        induced(kernel_from_tau(tau)).rows == tau.rows for tau in candidates)
     roundtrip_kernels_ok = True
     for points in every_kernel:
         filters = tuple(principal_ultrafilter(z_ground, p) for p in points)

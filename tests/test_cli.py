@@ -10,6 +10,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import liftlab.cli
+import liftlab.suite
 from liftlab.cli import main
 from liftlab.verdict import InternalCheckError
 
@@ -19,6 +20,14 @@ LAMBDA_A = [0, 5, 2, 7, 0, 5, 2, 7]
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def _source_env():
+    """The environment with this checkout's ``src`` first on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def write(tmp_path, name, payload):
@@ -184,15 +193,38 @@ class TestExceptionBoundary:
     def test_huge_exponent_exits_2_fast_in_a_fresh_process(self, tmp_path):
         doc = write(tmp_path, "huge.json",
                     {"kind": "measure_space", "weights": ["1e9999999", "1"]})
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         # timeout=1.5 fails the test (TimeoutExpired) if parsing hangs
         proc = subprocess.run([sys.executable, "-m", "liftlab.cli", "space", "liftings", doc],
-                              env=env, capture_output=True, text=True, timeout=1.5)
+                              env=_source_env(), capture_output=True, text=True, timeout=1.5)
         assert proc.returncode == 2
         assert proc.stderr.startswith("input error: bad weights")
         assert proc.stderr.count("\n") == 1
+
+    def test_commands_leave_numpy_unimported(self, tmp_path):
+        # importing numpy costs about 0.18 s and 14 MB of RSS, more than
+        # any of these commands needs
+        space = write(tmp_path, "space.json",
+                      {"kind": "measure_space", "weights": ["1", "1", "0"]})
+        magma = write(tmp_path, "magma.json", {
+            "kind": "partial_magma", "n": 3,
+            "table": [[(i + j) % 3 for j in range(3)] for i in range(3)]})
+        commands = [["yoneda", "roundtrip", "--z-size", "4", "--x-size", "1"],
+                    ["cat", "natequiv", "--source", "3", "--target", "SQ"],
+                    ["space", "theorem1", space],
+                    ["space", "liftings", "--oracle", space],
+                    ["pm", "classify", magma],
+                    ["pm", "interchange", magma]]
+        script = ("import json, sys\n"
+                  "from click.testing import CliRunner\n"
+                  "from liftlab.cli import main\n"
+                  "for args in json.loads(sys.argv[1]):\n"
+                  "    result = CliRunner().invoke(main, args)\n"
+                  "    assert result.exit_code == 0, (args, result.output)\n"
+                  "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                              env=_source_env(), capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 # Malformed documents: a valid document of each kind with one part, at any
@@ -450,6 +482,32 @@ class TestReport:
         result = runner.invoke(main, ["report", "--quick", "--format", "json",
                                       "--seed", "9"])
         assert json.loads(result.stdout)["seed"] == 9
+
+    @pytest.mark.parametrize("parallel", [2, 5000])
+    def test_parallel_starts_at_most_one_worker_per_check(self, monkeypatch, parallel):
+        # a stand-in pool that records its size and runs the checks inline,
+        # so no worker process is started at any count
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(liftlab.suite, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(liftlab.suite, "CHECKS", {
+            name: (lambda seed: {"pass": True}, False) for name in ("one", "two", "three")})
+        result = liftlab.suite.run_suite(parallel=parallel)
+        assert [c["name"] for c in result["checks"]] == ["one", "two", "three"]
+        assert sizes == [min(parallel, 3)]
 
     def test_parallel_agrees_with_serial(self, runner):
         serial = runner.invoke(main, ["report", "--quick", "--format", "json"])

@@ -181,13 +181,6 @@ class TestInterchange:
         rep = interchange_check(m3()[0])
         assert rep.holds and rep.both_defined > 0
 
-    def test_guard_on_large_carriers(self):
-        big = build_pm(6, [[None] * 6 for _ in range(6)])
-        with pytest.raises(ValueError):
-            interchange_check(big)
-        forced = build_pm(5, [[None] * 5 for _ in range(5)])
-        assert interchange_check(forced, force=True).holds
-
     @pytest.mark.parametrize("pm, cells", [
         (m6()[0], 10),
         (build_pm(5, [[(i + j) % 5 for j in range(5)] for i in range(5)]), 25),
@@ -196,7 +189,7 @@ class TestInterchange:
         # a doubly defined quadruple is fixed by three defined cells:
         # (x1, z1), (x2, z2) and (x'2, z'2)
         assert sum(pm.defined(x, y) for x in range(pm.n) for y in range(pm.n)) == cells
-        rep = interchange_check(pm, force=True)
+        rep = interchange_check(pm)
         assert rep.holds and rep.both_defined == cells ** 3
         assert rep.quadruples == pm.n ** 8
 
@@ -285,7 +278,7 @@ class TestFaultInjection:
         # Z/2's faulty pair above is undefined in M6, so it breaks nothing here
         pm = m6()[0]
         monkeypatch.setattr(partial_magma, "vmul", wrong)
-        rep = interchange_check(pm, force=True)
+        rep = interchange_check(pm)
         assert not rep.holds and len(rep.violations) == 8
         assert rep.violations[0] == ((0, 1), (0, 3), (1, 1), (3, 1), (0, 1), (1, 0))
 

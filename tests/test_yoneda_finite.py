@@ -5,8 +5,8 @@ import pytest
 
 import liftlab.yoneda_finite as yf
 
-from liftlab.filter_calculus import (is_ultrafilter, principal_ultrafilter,
-                                     trivial_filter)
+from liftlab.filter_calculus import (is_ultrafilter, limit_along,
+                                     principal_ultrafilter, trivial_filter)
 from liftlab.lebesgue_diff import kernel_from_lifting, lower_density_from_kernel
 from liftlab.measure_algebra import SetTransform
 from liftlab.measure_space import averageable_sets
@@ -40,15 +40,30 @@ def _loop_is_natural(tau, morphisms=all_functions):
     return Verdict.ok()
 
 
+def _from_tables(z_ground, x_count, probes, tables):
+    """A candidate from tuple-keyed tables {size: {input: output}}."""
+    rows = {s: tuple(all_functions(x_count, s).index(tables[s][fn])
+                     for fn in all_functions(len(z_ground), s))
+            for s in probes.sizes}
+    return TauCandidate(tuple(z_ground), x_count, probes, rows)
+
+
 def _raw_candidates(z_len, x_count):
-    """Every raw table over the default probes, natural or not."""
+    """Every raw table over the default probes, natural or not, built as
+    tuple-keyed tables in their lexicographic order."""
     probes = default_probes(z_len)
     keys = [(s, fn) for s in probes.sizes for fn in all_functions(z_len, s)]
     for combo in product(*(all_functions(x_count, s) for s, _ in keys)):
         tables = {s: {} for s in probes.sizes}
         for (s, fn), out in zip(keys, combo):
             tables[s][fn] = out
-        yield TauCandidate(tuple(range(z_len)), x_count, probes, tables)
+        yield _from_tables(range(z_len), x_count, probes, tables)
+
+
+def _limit_value(filters, fn):
+    """The output at ``fn`` taken literally: its limit along each filter."""
+    z_index = {e: i for i, e in enumerate(filters[0].ground)}
+    return tuple(limit_along(f, lambda e: fn[z_index[e]]) for f in filters)
 
 
 def _kernel_candidates(z_len, x_count):
@@ -58,9 +73,11 @@ def _kernel_candidates(z_len, x_count):
 
 
 def _with_entry(tau, s, fn, out):
-    tables = {size: dict(table) for size, table in tau.tables.items()}
-    tables[s][fn] = out
-    return TauCandidate(tau.z_ground, tau.x_count, tau.probes, tables)
+    row = list(tau.rows[s])
+    row[all_functions(len(tau.z_ground), s).index(fn)] = \
+        all_functions(tau.x_count, s).index(out)
+    return TauCandidate(tau.z_ground, tau.x_count, tau.probes,
+                        {**tau.rows, s: tuple(row)})
 
 
 class TestBetaSpace:
@@ -117,6 +134,45 @@ class TestTauFromKernel:
             tau = tau_from_kernel(delta_kernel(z, points), probes)
             assert is_natural(tau)
 
+    @pytest.mark.parametrize("z_len,x_count", [(3, 2), (4, 1)])
+    def test_rows_are_the_limits_along_the_kernel(self, z_len, x_count):
+        z = tuple(range(z_len))
+        probes = default_probes(z_len)
+        for points in product(z, repeat=x_count):
+            kernel = delta_kernel(z, points)
+            tau = tau_from_kernel(kernel, probes)
+            for s in probes.sizes:
+                for fn in all_functions(z_len, s):
+                    assert tau.value(s, fn) == _limit_value(kernel, fn)
+
+
+class TestTauCandidate:
+    def _rows(self):
+        # the (2, 1) candidate of the kernel at point 1
+        return {1: (0,), 2: (0, 1, 0, 1)}
+
+    def test_accepts_a_well_shaped_candidate(self):
+        tau = TauCandidate((0, 1), 1, default_probes(2), self._rows())
+        assert tau.value(2, (1, 0)) == (0,)
+
+    @pytest.mark.parametrize("rows", [{1: (0,)},
+                                      {1: (0,), 2: (0, 1, 0, 1), 3: (0,) * 9}],
+                             ids=["missing", "extra"])
+    def test_rejects_missing_or_extra_sizes(self, rows):
+        with pytest.raises(ValueError, match="probe sizes"):
+            TauCandidate((0, 1), 1, default_probes(2), rows)
+
+    @pytest.mark.parametrize("row", [(0, 1, 0), (0, 1, 0, 1, 0)])
+    def test_rejects_a_row_of_the_wrong_length(self, row):
+        with pytest.raises(ValueError, match="needs 4 entries"):
+            TauCandidate((0, 1), 1, default_probes(2), {1: (0,), 2: row})
+
+    @pytest.mark.parametrize("row", [(0, 1, 2, 1), (0, 1, -1, 1)],
+                             ids=["too-large", "negative"])
+    def test_rejects_an_out_of_range_entry(self, row):
+        with pytest.raises(ValueError, match="out of range"):
+            TauCandidate((0, 1), 1, default_probes(2), {1: (0,), 2: row})
+
 
 class TestKernelFromTau:
     def test_recovers_the_kernel(self):
@@ -132,7 +188,7 @@ class TestKernelFromTau:
         tau = tau_from_kernel(delta_kernel(z, (0,)), probes)
         small = ProbeFamily((1, 2))
         clipped = TauCandidate(z, 1, small,
-                               {s: tau.tables[s] for s in small.sizes})
+                               {s: tau.rows[s] for s in small.sizes})
         with pytest.raises(ValueError, match="ultrafilter probe"):
             kernel_from_tau(clipped)
 
@@ -140,14 +196,11 @@ class TestKernelFromTau:
         z = (0, 1)
         probes = default_probes(2)
         naturals = enumerate_natural_raw(z, 1, probes)
-        base = naturals[0]
-        tables = {s: dict(base.tables[s]) for s in probes.sizes}
         # corrupt one non-tautological entry; extraction still runs
-        tables[2][(0, 0)] = (1,)
-        corrupted = TauCandidate(z, 1, probes, tables)
+        corrupted = _with_entry(naturals[0], 2, (0, 0), (1,))
         assert not is_natural(corrupted)
         kernel = kernel_from_tau(corrupted)
-        assert tau_from_kernel(kernel, probes).tables != corrupted.tables
+        assert tau_from_kernel(kernel, probes).rows != corrupted.rows
 
 
 class TestEnumeration:
@@ -155,6 +208,12 @@ class TestEnumeration:
         assert len(enumerate_natural_raw((0,), 1, default_probes(1))) == 1
         assert len(enumerate_natural_raw((0, 1), 1, default_probes(2))) == 2
         assert len(enumerate_natural_raw((0, 1), 2, default_probes(2))) == 4
+
+    @pytest.mark.parametrize("z_len,x_count", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_raw_order_is_the_order_of_the_tuple_tables(self, z_len, x_count):
+        raw = enumerate_natural_raw(range(z_len), x_count, default_probes(z_len))
+        assert [c.rows for c in raw] == [c.rows for c in _raw_candidates(z_len, x_count)
+                                         if _loop_is_natural(c)]
 
     def test_raw_cap_guard(self):
         with pytest.raises(ValueError, match="cap"):
@@ -167,11 +226,8 @@ class TestEnumeration:
             raw = enumerate_natural_raw(z, x_size, probes)
             structured = [tau_from_kernel(delta_kernel(z, pts), probes)
                           for pts in product(z, repeat=x_size)]
-            raw_set = {tuple(sorted((s, tuple(sorted(t.items()))) for s, t
-                                    in c.tables.items())) for c in raw}
-            structured_set = {tuple(sorted((s, tuple(sorted(t.items()))) for s, t
-                                           in c.tables.items())) for c in structured}
-            assert raw_set == structured_set
+            assert ({tuple(c.rows.items()) for c in raw}
+                    == {tuple(c.rows.items()) for c in structured})
 
     def test_enumerate_picks_the_feasible_mode(self):
         _, mode = enumerate_natural((0, 1), 1, default_probes(2))
@@ -198,8 +254,9 @@ class TestNaturalityOracle:
         count = 0
         for base in _kernel_candidates(3, 1):
             assert is_natural(base) == _loop_is_natural(base) == Verdict.ok()
-            for s, table in base.tables.items():
-                for fn, out in table.items():
+            for s in base.probes.sizes:
+                for fn in all_functions(3, s):
+                    out = base.value(s, fn)
                     for other in all_functions(1, s):
                         if other != out:
                             tau = _with_entry(base, s, fn, other)
@@ -217,7 +274,7 @@ class TestNaturalityOracle:
                 s = rng.choice([s for s in base.probes.sizes if s > 1])
                 fn = rng.choice(all_functions(z_len, s))
                 other = rng.choice([o for o in all_functions(x_count, s)
-                                    if o != base.tables[s][fn]])
+                                    if o != base.value(s, fn)])
                 tau = _with_entry(base, s, fn, other)
                 verdict = is_natural(tau)
                 assert not verdict
@@ -253,10 +310,6 @@ class TestYonedaRoundtrip:
         report = yoneda_roundtrip(z_size, x_size)
         assert report.candidate_count == z_size ** x_size
         assert report.all_pass
-
-    def test_probe_family_must_reach_z(self):
-        with pytest.raises(ValueError, match="ultrafilter probe"):
-            yoneda_roundtrip(3, 1, probe_sizes=(1, 2))
 
     @pytest.mark.parametrize("z_size,x_size,mode", [(2, 2, "raw"), (3, 2, "structured")])
     def test_each_kernel_builds_its_candidate_once(self, monkeypatch, z_size, x_size,
@@ -306,6 +359,9 @@ class TestCrossModuleAgreement:
         tau = tau_from_kernel(kernel.filters, probes)
         from liftlab.measure_space import indicator
         from liftlab.lebesgue_diff import lebesgue_transform
+        for s in probes.sizes:
+            for fn in all_functions(len(ground), s):
+                assert tau.value(s, fn) == _limit_value(kernel.filters, fn)
         for q in range(s1.full_mask + 1):
             lam = lebesgue_transform(s1, indicator(s1, q))
             profile = tuple(1 if lam(z) == 1 else 0 for z in ground)

@@ -73,11 +73,6 @@ def cat_from_rpm(pm: PartialMagma, labels=None) -> FiniteCategory:
     return FiniteCategory(pm, tuple(labels) if labels else None)
 
 
-def rpm_from_cat(cat: FiniteCategory) -> PartialMagma:
-    """Forget back down to the arrow magma."""
-    return cat.pm
-
-
 def hom_set(cat: FiniteCategory, u: int, v: int) -> tuple[int, ...]:
     """Arrows from ``u`` to ``v``; hom-sets partition the arrows."""
     if u not in cat.position or v not in cat.position:
@@ -92,9 +87,6 @@ class TwinArrow:
     source: int
     target: int
     pair: tuple[int, int]
-
-    def to_dict(self) -> dict:
-        return {"source": self.source, "target": self.target, "pair": list(self.pair)}
 
 
 def is_twin_arrow(cat: FiniteCategory, x: int, y: int, pair: tuple[int, int]) -> bool:
@@ -463,30 +455,28 @@ def functor_category(c: FiniteCategory, d: FiniteCategory) -> FunctorCategoryRes
 # The stock of small examples.
 # ---------------------------------------------------------------------------
 
+#: The arrows of each named category as 0/1 diagonal matrix shapes: a
+#: (rows, cols) arrow goes from object (cols, cols) to object (rows, rows).
+NAMED_SHAPES = {
+    "1": ((1, 1),),
+    "II": ((1, 1), (2, 2)),
+    "2": ((1, 1), (2, 2), (2, 1)),
+    "3": ((1, 1), (2, 2), (3, 3), (2, 1), (3, 2), (3, 1)),
+    "SQ": ((1, 1), (2, 2), (3, 3), (4, 4), (2, 1), (3, 2), (3, 1), (4, 1), (3, 4)),
+}
+
+
 def named_magmas() -> dict[str, PartialMagma]:
     """The rectangular-identity matrix magmas and truncated subtraction."""
-    m1, _ = matrix_magma([(1, 1)])
-    m2, _ = matrix_magma([(1, 1), (2, 2)])
-    m3, _ = matrix_magma([(1, 1), (2, 2), (2, 1)])
-    m6, _ = matrix_magma([(1, 1), (2, 2), (3, 3), (2, 1), (3, 2), (3, 1)])
-    msq, _ = matrix_magma([(1, 1), (2, 2), (3, 3), (4, 4),
-                           (2, 1), (3, 2), (3, 1), (4, 1), (3, 4)])
-    return {"M1": m1, "M2": m2, "M3": m3, "M6": m6, "MSQ": msq,
-            "nat_sub": nat_subtraction_magma(3)}
+    out = {name: matrix_magma(NAMED_SHAPES[category])[0]
+           for name, category in (("M1", "1"), ("M2", "II"), ("M3", "2"),
+                                  ("M6", "3"), ("MSQ", "SQ"))}
+    out["nat_sub"] = nat_subtraction_magma(3)
+    return out
 
 
 def named_categories() -> dict[str, FiniteCategory]:
     """The one-object, discrete-two, single-arrow, triangle, and square
     categories, with readable arrow labels."""
-    out = {}
-    for name, dims in {
-        "1": [(1, 1)],
-        "II": [(1, 1), (2, 2)],
-        "2": [(1, 1), (2, 2), (2, 1)],
-        "3": [(1, 1), (2, 2), (3, 3), (2, 1), (3, 2), (3, 1)],
-        "SQ": [(1, 1), (2, 2), (3, 3), (4, 4),
-               (2, 1), (3, 2), (3, 1), (4, 1), (3, 4)],
-    }.items():
-        pm, labels = matrix_magma(dims)
-        out[name] = cat_from_rpm(pm, labels)
-    return out
+    return {name: cat_from_rpm(*matrix_magma(shapes))
+            for name, shapes in NAMED_SHAPES.items()}

@@ -2,9 +2,8 @@
 
 A subset of a ground tuple is an ``int`` bitmask over its positions: bit
 ``i`` stands for ``ground[i]``, as bit ``i`` of a set mask stands for atom
-``i`` in ``measure_space``.  Filter kernels, members and the open sets of a
-finite space all use this one form; ``Filter.kernel_elements`` reads a
-kernel back as ground elements.
+``i`` in ``measure_space``.  Filter kernels and members both use this one
+form; ``Filter.kernel_elements`` reads a kernel back as ground elements.
 
 On a finite ground set every proper filter is principal: it is exactly the
 family of supersets of a unique nonempty kernel.  We therefore never
@@ -120,38 +119,17 @@ def direct_image(fmap: Callable, f: Filter, target_ground: Sequence) -> Filter:
     return Filter(target, image)
 
 
-def limit_points(f: Filter, lam: Callable, codomain: "FiniteTopSpace") -> list:
-    """All points whose neighborhood filter is below the image of ``f``;
-    none when a value of ``lam`` on the kernel is not a point."""
-    index = {y: i for i, y in enumerate(codomain.points)}
-    image = 0
-    for e in f.kernel_elements():
-        i = index.get(lam(e))
-        if i is None:
-            return []
-        image |= 1 << i
-    return [y for y in codomain.points if image & ~codomain.min_open(y) == 0]
-
-
-def limit_along(f: Filter, lam: Callable, codomain: "FiniteTopSpace | None" = None):
+def limit_along(f: Filter, lam: Callable):
     """Limit of ``lam`` along the filter, or None when there is none.
 
-    Without a codomain the values are taken in a (virtual) discrete space:
-    the limit exists iff ``lam`` is constant on the kernel, and equals that
-    constant.  With a Hausdorff codomain the witness is unique; ambiguity
-    can only arise in non-Hausdorff spaces and raises.
+    The filter is principal, so its image under ``lam`` is the filter of
+    supersets of ``lam``'s values on the kernel.  In a T1 space that image
+    converges iff those values are a single point, which is then the limit.
     """
-    if codomain is None:
-        values = {lam(e) for e in f.kernel_elements()}
-        if len(values) == 1:
-            return next(iter(values))
-        return None
-    pts = limit_points(f, lam, codomain)
-    if not pts:
-        return None
-    if len(pts) > 1:
-        raise ValueError("ambiguous limit: codomain is not Hausdorff")
-    return pts[0]
+    values = {lam(e) for e in f.kernel_elements()}
+    if len(values) == 1:
+        return next(iter(values))
+    return None
 
 
 def is_directed(family: Sequence[int]) -> tuple[bool, tuple | None]:
@@ -185,51 +163,6 @@ def tail_filter(directed: Sequence[int]) -> Filter:
     if not ok:
         raise NotDirectedError(witness)
     return Filter(family, 1 << family.index(reduce(and_, family)))
-
-
-@dataclass(frozen=True)
-class FiniteTopSpace:
-    """A finite topological space given by its full family of open sets,
-    each a mask over ``points``."""
-
-    points: tuple
-    opens: frozenset
-
-    def __post_init__(self):
-        if len(set(self.points)) != len(self.points):
-            raise ValueError("duplicate points")
-        opens = self.opens
-        for o in opens:
-            _subset_mask(o, self.points, "open set")
-        if 0 not in opens or (1 << len(self.points)) - 1 not in opens:
-            raise ValueError("topology must contain the empty set and the space")
-        for a in opens:
-            for b in opens:
-                if a | b not in opens or a & b not in opens:
-                    raise ValueError("opens are not closed under union/intersection")
-
-    @classmethod
-    def discrete(cls, points: Sequence) -> "FiniteTopSpace":
-        pts = tuple(points)
-        return cls(pts, frozenset(range(1 << len(pts))))
-
-    def min_open(self, y) -> int:
-        """The smallest open set containing ``y``."""
-        bit = 1 << _position(self.points, y)
-        return reduce(and_, (o for o in self.opens if o & bit))
-
-    def neighborhood_filter(self, y) -> Filter:
-        return Filter(self.points, self.min_open(y))
-
-    def is_discrete(self) -> bool:
-        return all(1 << i in self.opens for i in range(len(self.points)))
-
-    def is_hausdorff(self) -> bool:
-        for i, j in combinations(range(len(self.points)), 2):
-            if not any(a >> i & 1 and b >> j & 1 and not a & b
-                       for a in self.opens for b in self.opens):
-                return False
-        return True
 
 
 def _literal_filters(size: int) -> list[tuple[frozenset, int]]:
@@ -325,22 +258,3 @@ def base_generation_oracle(max_size: int = 4) -> Verdict:
                                     "generated filter disagrees with literal closure")
     return Verdict.ok(f"base generation matches literal closure up to size {max_size}")
 
-
-def lim_beta(space: FiniteTopSpace) -> Callable[[Filter], object]:
-    """The limit map on ultrafilters over a Hausdorff (= discrete) space.
-
-    Sends each principal ultrafilter to its generating point; naturality in
-    the space is checked exhaustively by the test suite.
-    """
-    if not space.is_hausdorff():
-        raise ValueError("lim_beta needs a Hausdorff space")
-
-    def lim(u: Filter):
-        if not is_ultrafilter(u):
-            raise ValueError("lim_beta is defined on ultrafilters only")
-        matches = limit_points(u, lambda e: e, space)
-        if len(matches) != 1:
-            raise ValueError("ultrafilter does not live on the space's points")
-        return matches[0]
-
-    return lim

@@ -311,8 +311,8 @@ def verify_theorem1(space: MeasureSpace) -> TheoremOneReport:
     return TheoremOneReport(space, tuple(entries))
 
 
-def random_total_fn(space: MeasureSpace, rng: random.Random,
-                    magnitude: int = 50, max_denominator: int = 12) -> PartialFn:
-    vals = [Fraction(rng.randint(-magnitude, magnitude),
-                     rng.randint(1, max_denominator)) for _ in range(space.n)]
+def random_total_fn(space: MeasureSpace, rng: random.Random) -> PartialFn:
+    """Numerators in [-50, 50] over denominators in [1, 12], one per atom."""
+    vals = [Fraction(rng.randint(-50, 50), rng.randint(1, 12))
+            for _ in range(space.n)]
     return total_fn(space, vals)

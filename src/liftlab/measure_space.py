@@ -68,10 +68,6 @@ class MeasureSpace:
         object.__setattr__(self, "pos_mask", pos)
         object.__setattr__(self, "null_mask", ((1 << n) - 1) ^ pos)
 
-    @property
-    def total(self) -> Fraction:
-        return sum(self.weights, Fraction(0))
-
     def check_set(self, q: int) -> int:
         if not 0 <= q <= self.full_mask:
             raise ValueError(f"set mask {q} out of range for {self.n} atoms")
@@ -90,10 +86,6 @@ def build_space(weights: Iterable) -> MeasureSpace:
 def measure(space: MeasureSpace, q: int) -> Fraction:
     space.check_set(q)
     return sum((space.weights[i] for i in bits(q)), Fraction(0))
-
-
-def complement(space: MeasureSpace, q: int) -> int:
-    return space.full_mask ^ space.check_set(q)
 
 
 def is_null(space: MeasureSpace, q: int) -> bool:
@@ -180,14 +172,3 @@ def indicator(space: MeasureSpace, q: int) -> PartialFn:
     vals = tuple(Fraction(1) if (q >> i) & 1 else Fraction(0) for i in range(space.n))
     return PartialFn(space, space.full_mask, vals)
 
-
-def ae_equal_fn(f: PartialFn, g: PartialFn) -> bool:
-    """Equality of a.e. classes: defined and equal at every positive atom."""
-    if f.space != g.space:
-        raise ValueError("functions live on different spaces")
-    for i in bits(f.space.pos_mask):
-        if not (f.defined_at(i) and g.defined_at(i)):
-            return False
-        if f(i) != g(i):
-            return False
-    return True

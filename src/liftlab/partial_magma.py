@@ -202,9 +202,6 @@ class InterchangeReport:
     def holds(self) -> bool:
         return not self.violations
 
-    def __bool__(self) -> bool:
-        return self.holds
-
     def to_dict(self) -> dict:
         return {"quadruples": self.quadruples, "both_defined": self.both_defined,
                 "holds": self.holds, "violations": [list(v) for v in self.violations]}
@@ -285,18 +282,6 @@ def is_pm_hom(f, source: PartialMagma, target: PartialMagma,
             if fmap(u) not in target_units:
                 return Verdict.fail(u, "unit not sent to a unit")
     return Verdict.ok()
-
-
-def square_of_function(f: Sequence[int], source_size: int, target_size: int):
-    """The pairwise action of a function, as a map of pair indices."""
-    if len(f) != source_size:
-        raise ValueError("function must be defined on the whole carrier")
-
-    def mapped(e: int) -> int:
-        i, j = index_pair(source_size, e)
-        return pair_index(target_size, (f[i], f[j]))
-
-    return mapped
 
 
 def single_unit_totality(pm: PartialMagma) -> Verdict:

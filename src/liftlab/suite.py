@@ -12,18 +12,19 @@ from concurrent.futures import ProcessPoolExecutor
 from math import comb
 
 from . import __version__
-from .category_kernel import (cat_from_rpm, enumerate_functors,
+from .category_kernel import (NAMED_SHAPES, cat_from_rpm, enumerate_functors,
                               enumerate_nat_homs, enumerate_nat_trans,
                               hom_from_nat, named_categories, named_magmas,
-                              nat_from_hom, rpm_from_cat, twin_category)
+                              nat_from_hom, twin_category)
 from .filter_calculus import base_generation_oracle, principality_oracle
 from .lebesgue_diff import (differentiates, kernel_from_lifting,
                             random_total_fn, recovers, verify_theorem1)
 from .measure_algebra import (brute_force_liftings, enumerate_liftings,
                               sampled_lifting_oracle)
 from .measure_space import build_space
-from .partial_magma import (classify, interchange_sweep, regular_tables,
-                            single_unit_totality, square_pm, twin_pm)
+from .partial_magma import (build_pm, classify, interchange_sweep,
+                            matrix_magma, regular_tables, single_unit_totality,
+                            square_pm, twin_pm)
 from .verdict import jsonable
 
 
@@ -139,16 +140,33 @@ def _check_single_unit_totality(seed: int) -> dict:
 
 
 def _check_cat_roundtrips(seed: int) -> dict:
-    for name, cat in named_categories().items():
-        pm = rpm_from_cat(cat)
-        if rpm_from_cat(cat_from_rpm(pm)) != pm:
+    """Categories read from arrow magmas agree with a second, independent
+    presentation: a named category with its shapes and its matrix magma, a
+    regular magma with the table rebuilt from dom, cod and composites."""
+    for name, shapes in NAMED_SHAPES.items():
+        # the pin rule: an (r, c) arrow after a (c, c2) arrow is the (r, c2) arrow
+        index = {shape: i for i, shape in enumerate(shapes)}
+        cat = cat_from_rpm(build_pm(len(shapes), [
+            [index[r, c2] if c == r2 else None for r2, c2 in shapes]
+            for r, c in shapes]))
+        unit = {c: i for (r, c), i in index.items() if r == c}
+        matrix, _ = matrix_magma(shapes)
+        if (cat.objects != tuple(unit.values())
+                or cat.dom != tuple(unit[c] for _, c in shapes)
+                or cat.cod != tuple(unit[r] for r, _ in shapes)
+                or any(cat.compose(x, y) != matrix.op(x, y)
+                       for x in cat.arrows for y in cat.arrows)):
             return {"pass": False, "witness": name}
     counts = {}
     for n in (1, 2, 3):
         regs = regular_tables(n)
         counts[str(n)] = len(regs)
         for pm in regs:
-            if rpm_from_cat(cat_from_rpm(pm)) != pm:
+            cat = cat_from_rpm(pm)
+            rebuilt = tuple(tuple(cat.compose(x, y) if cat.dom[x] == cat.cod[y]
+                                  else None for y in cat.arrows)
+                            for x in cat.arrows)
+            if rebuilt != pm.table:
                 return {"pass": False, "witness": pm.table}
     return {"pass": True, "regular_counts": counts}
 

@@ -15,9 +15,8 @@ from functools import cache, lru_cache
 from itertools import product
 from operator import itemgetter
 
-from .filter_calculus import (Filter, FiniteTopSpace, direct_image,
-                              is_ultrafilter, limit_along,
-                              principal_ultrafilter)
+from .filter_calculus import (Filter, direct_image, is_ultrafilter,
+                              limit_along, principal_ultrafilter)
 from .verdict import CapacityError, InternalCheckError, Verdict
 
 RAW_CAP = 500_000
@@ -314,27 +313,13 @@ def yoneda_roundtrip(z_size: int, x_size: int) -> YonedaReport:
 # The ultrafilter space and the underlying-set adjunction.
 # ---------------------------------------------------------------------------
 
-def beta_space(ground) -> FiniteTopSpace:
-    """The discrete space of ultrafilters on a finite ground set."""
+def beta_space(ground) -> tuple[Filter, ...]:
+    """The points of the ultrafilter space of a finite ground set: its
+    principal ultrafilters, in ground order.  The space is discrete."""
     ground = tuple(ground)
     if not ground:
         raise ValueError("empty ground has no ultrafilters")
-    return FiniteTopSpace.discrete(
-        tuple(principal_ultrafilter(ground, q) for q in ground))
-
-
-def beta_map(fmap, source_ground, target_ground):
-    """The action of the ultrafilter space on a function: push each
-    ultrafilter forward along it."""
-    source_ground = tuple(source_ground)
-    target_ground = tuple(target_ground)
-
-    def mapped(u: Filter) -> Filter:
-        if u.ground != source_ground or not is_ultrafilter(u):
-            raise ValueError("expected an ultrafilter on the source ground")
-        return direct_image(fmap, u, target_ground)
-
-    return mapped
+    return tuple(principal_ultrafilter(ground, q) for q in ground)
 
 
 @dataclass(frozen=True)
@@ -359,22 +344,21 @@ class AdjunctionReport:
                 "naturality_ok": self.naturality_ok, "all_pass": self.all_pass}
 
 
-def adjunction_bijection(x_size: int, d_size: int,
-                         naturality_sizes: tuple[int, ...] = (1, 2, 3)) -> AdjunctionReport:
+def adjunction_bijection(x_size: int, d_size: int) -> AdjunctionReport:
     """Functions X -> D versus maps from the ultrafilter space of X to D.
 
     Forward: push an ultrafilter along the function and take the limit.
     Backward: precompose with the principal-ultrafilter injection.  Both
     composites are checked pointwise, and naturality in D is spot-checked
-    against the given codomain sizes.
+    against the codomain sizes 1, 2 and 3.
     """
     x_points = tuple(range(x_size))
     bx = beta_space(x_points)
-    delta_index = {pt: i for i, pt in enumerate(bx.points)}
+    delta_index = {pt: i for i, pt in enumerate(bx)}
 
     def forward(g: tuple[int, ...], codomain_size: int) -> tuple[int, ...]:
         out = []
-        for u in bx.points:
+        for u in bx:
             image = direct_image(lambda x: g[x], u, tuple(range(codomain_size)))
             val = limit_along(image, lambda p: p)
             if val is None:
@@ -387,7 +371,7 @@ def adjunction_bijection(x_size: int, d_size: int,
                      for x in x_points)
 
     set_side = all_functions(x_size, d_size)
-    top_side = all_functions(len(bx.points), d_size)
+    top_side = all_functions(len(bx), d_size)
 
     forwards = {g: forward(g, d_size) for g in set_side}
     bijection_ok = sorted(forwards.values()) == sorted(top_side)
@@ -395,7 +379,7 @@ def adjunction_bijection(x_size: int, d_size: int,
                      and all(forward(backward(h), d_size) == h for h in top_side))
 
     naturality_ok = True
-    for t in naturality_sizes:
+    for t in (1, 2, 3):
         for psi in all_functions(d_size, t):
             for g in set_side:
                 if forward(compose(psi, g), t) != compose(psi, forward(g, d_size)):

@@ -1,0 +1,135 @@
+"""Every check in the report battery can fail.
+
+One case per key of ``suite.CHECKS``: each injects a fault into one name
+the check relies on and expects ``pass: False``, not a pass and not an
+exception.  A check added without a case here fails its own case.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+import liftlab.category_kernel as category_kernel
+import liftlab.filter_calculus as filter_calculus
+import liftlab.lebesgue_diff as lebesgue_diff
+import liftlab.measure_algebra as measure_algebra
+import liftlab.measure_space as measure_space
+import liftlab.partial_magma as partial_magma
+import liftlab.suite as suite
+import liftlab.yoneda_finite as yoneda_finite
+from liftlab.measure_algebra import SetTransform
+
+CACHED = (partial_magma.regular_tables, category_kernel._twin_pairs,
+          yoneda_finite.all_functions, yoneda_finite.composite_indices,
+          measure_space.averageable_sets)
+
+
+@pytest.fixture(autouse=True)
+def fresh_caches():
+    """No cache carries a value built under a fault, or hides one."""
+    for fn in CACHED:
+        fn.cache_clear()
+    yield
+    for fn in CACHED:
+        fn.cache_clear()
+
+
+def wrap(monkeypatch, module, name, fault):
+    """Replace ``module.name`` by ``fault(real, *args)``."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: fault(real, *args))
+
+
+def _whole_ground_kernel(real, ground, base):
+    return filter_calculus.trivial_filter(ground)
+
+
+def _empty_set_not_fixed(real, space, g):
+    table = real(space, g).table
+    return SetTransform(space, (table[0] | 1,) + table[1:])
+
+
+def _trivial_kernel(real, space, lifting):
+    ground = measure_space.averageable_sets(space)
+    return lebesgue_diff.FilterKernel(
+        space, (filter_calculus.trivial_filter(ground),) * space.n)
+
+
+def _limit_off_by_one(real, f, lam):
+    value = real(f, lam)
+    return None if value is None else value + 1
+
+
+def _last_unit_dropped(real, pm):
+    return real(pm)[:-1]
+
+
+def _one_product_wrong(real, x, y):
+    # (0,1) after (1,0) is (1,1); answer (0,0) instead
+    return (0, 0) if (x, y) == ((0, 1), (1, 0)) else real(x, y)
+
+
+def _totality_flipped(real, pm):
+    c = real(pm)
+    return replace(c, total=not c.total)
+
+
+def _units_reversed(real, pm):
+    c = real(pm)
+    return replace(c, units=c.units[::-1])
+
+
+def _twin_of_one_object(real, cat):
+    return real(suite.named_categories()["1"])
+
+
+def _first_transformation_lost(real, t, s):
+    return real(t, s)[1:]
+
+
+def _kernel_shifted(real, tau):
+    # each filter moves to the next point of Z: the kernel bit of point i
+    # is 1 << i
+    z = tau.z_ground
+    return tuple(yoneda_finite.principal_ultrafilter(
+        z, z[f.kernel.bit_length() % len(z)]) for f in real(tau))
+
+
+def _image_collapsed(real, fmap, f, target):
+    return real(lambda e: target[0], f, target)
+
+
+#: check -> (module, name, fault): the name is replaced by a wrapper that
+#: calls ``fault(real, *args)``.
+FAULTS = {
+    "filter_principality": (filter_calculus, "filter_from_base",
+                            _whole_ground_kernel),
+    "s1_lifting_oracle": (measure_algebra, "lifting_from_retraction",
+                          _empty_set_not_fixed),
+    "s2_sampled_lifting_oracle": (measure_algebra, "lifting_from_retraction",
+                                  _empty_set_not_fixed),
+    "theorem1_s1": (lebesgue_diff, "kernel_from_lifting", _trivial_kernel),
+    "theorem1_s2": (lebesgue_diff, "kernel_from_lifting", _trivial_kernel),
+    "theorem1_no_null": (lebesgue_diff, "kernel_from_lifting", _trivial_kernel),
+    "random_function_recovery": (lebesgue_diff, "limit_along", _limit_off_by_one),
+    "pm_fixtures": (partial_magma, "units", _last_unit_dropped),
+    "interchange_n2": (partial_magma, "hmul", _one_product_wrong),
+    "interchange_n3": (partial_magma, "hmul", _one_product_wrong),
+    "single_unit_totality": (partial_magma, "classify", _totality_flipped),
+    "cat_rpm_roundtrips": (category_kernel, "classify", _units_reversed),
+    # a fault inside twin_category raises InternalCheckError by design
+    # (cat twin exits 3 on it), so the fault goes into the name the check calls
+    "twin_categories": (suite, "twin_category", _twin_of_one_object),
+    "natequiv_2_3": (suite, "enumerate_nat_trans", _first_transformation_lost),
+    "yoneda_roundtrips": (yoneda_finite, "kernel_from_tau", _kernel_shifted),
+    "adjunction": (yoneda_finite, "direct_image", _image_collapsed),
+}
+
+
+@pytest.mark.parametrize("name", list(suite.CHECKS))
+def test_injected_fault_fails_the_check(monkeypatch, name):
+    assert name in FAULTS, f"check {name!r} has no fault-injection case"
+    module, target, fault = FAULTS[name]
+    wrap(monkeypatch, module, target, fault)
+    assert suite.run_check(name)["pass"] is False
+

@@ -11,12 +11,12 @@ from liftlab.category_kernel import (ENUMERATION_CAP, FiniteCategory, Functor,
                                      functor_category, hom_from_nat, hom_set,
                                      identity_functor, identity_nat_hom,
                                      named_categories, named_magmas,
-                                     nat_from_hom, rpm_from_cat,
-                                     twin_category, twin_hom_cases,
+                                     nat_from_hom, twin_category, twin_hom_cases,
                                      validate_functor, validate_nat_hom,
                                      validate_nat_trans)
 from liftlab.partial_magma import build_pm, is_pm_hom, regular_tables, units
-from liftlab.suite import natequiv_report
+import liftlab.suite as suite
+from liftlab.suite import natequiv_report, run_check
 from liftlab.verdict import CapacityError
 
 
@@ -51,15 +51,27 @@ class TestNamedCategories:
 
 
 class TestCatRpmRoundtrip:
-    def test_round_trips_are_structural_identities(self):
-        for name, c in CATS.items():
-            pm = rpm_from_cat(c)
-            assert rpm_from_cat(cat_from_rpm(pm)) == pm
+    @pytest.mark.parametrize("named", [True, False])
+    def test_swapped_pins_fail_the_report_check(self, monkeypatch, named):
+        # one arrow with dom and cod swapped; without the named shapes the
+        # regular magmas alone must catch it
+        def swapped(pm, labels=None):
+            c = cat_from_rpm(pm, labels)
+            x = next((x for x in c.arrows if c.dom[x] != c.cod[x]), None)
+            if x is not None:
+                dom, cod = list(c.dom), list(c.cod)
+                dom[x], cod[x] = cod[x], dom[x]
+                object.__setattr__(c, "dom", tuple(dom))
+                object.__setattr__(c, "cod", tuple(cod))
+            return c
 
-    def test_round_trip_on_all_small_regular_magmas(self):
-        for n in (1, 2):
-            for pm in regular_tables(n):
-                assert rpm_from_cat(cat_from_rpm(pm)) == pm
+        assert run_check("cat_rpm_roundtrips")["pass"]
+        monkeypatch.setattr(suite, "cat_from_rpm", swapped)
+        if not named:
+            monkeypatch.setattr(suite, "NAMED_SHAPES", {})
+        out = run_check("cat_rpm_roundtrips")
+        assert out["pass"] is False
+        assert (out["witness"] == "2") == named
 
     def test_rejects_non_regular(self):
         with pytest.raises(ValueError, match="not a category"):
@@ -71,7 +83,7 @@ class TestCatRpmRoundtrip:
         real = pm_module.units
         monkeypatch.setattr(pm_module, "units",
                             lambda pm: calls.append(pm) or real(pm))
-        c = cat_from_rpm(rpm_from_cat(CATS["SQ"]))
+        c = cat_from_rpm(CATS["SQ"].pm)
         built = len(calls)  # classify's, in __post_init__
         for _ in range(3):
             assert c.objects == real(c.pm)

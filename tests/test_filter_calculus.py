@@ -4,13 +4,13 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liftlab.filter_calculus import (Filter, FiniteTopSpace, NotDirectedError,
+from liftlab.filter_calculus import (Filter, NotDirectedError,
                                      base_generation_oracle, direct_image,
                                      filter_from_base, is_directed,
-                                     is_ultrafilter, lim_beta, limit_along,
-                                     limit_points, principal_ultrafilter,
-                                     principality_oracle, tail_filter,
-                                     trivial_filter, ultrafilter_refine)
+                                     is_ultrafilter, limit_along,
+                                     principal_ultrafilter, principality_oracle,
+                                     tail_filter, trivial_filter,
+                                     ultrafilter_refine)
 
 
 class TestFilterConstruction:
@@ -125,24 +125,6 @@ class TestLimits:
         f = Filter((0, 1), 0b11)
         assert limit_along(f, lambda q: q) is None
 
-    def test_discrete_codomain_agrees_with_virtual(self):
-        space = FiniteTopSpace.discrete((0, 1, 2))
-        f = Filter((0, 1, 2), 0b010)
-        assert limit_along(f, lambda q: q, space) == 1
-
-    def test_value_off_the_codomain_has_no_limit(self):
-        space = FiniteTopSpace.discrete((0, 1, 2))
-        f = principal_ultrafilter((0, 1, 2), 1)
-        assert limit_points(f, lambda q: q + 5, space) == []
-        assert limit_along(f, lambda q: q + 5, space) is None
-
-    def test_non_hausdorff_ambiguity_raises(self):
-        sierpinski = FiniteTopSpace((0, 1), frozenset({0b00, 0b10, 0b11}))
-        f = Filter(("q",), 0b1)
-        assert set(limit_points(f, lambda _: 1, sierpinski)) == {0, 1}
-        with pytest.raises(ValueError, match="ambiguous"):
-            limit_along(f, lambda _: 1, sierpinski)
-
     def test_monotone_limit_at_one(self):
         # if alpha <= beta <= 1 pointwise and alpha -> 1, then beta -> 1;
         # randomized over filters on the averageable sets of [1,1,0]
@@ -193,60 +175,25 @@ class TestTailFilter:
         assert not ok and set(witness) == {1, 2}
 
 
-class TestTopSpaces:
-    def test_rejects_non_topology(self):
-        with pytest.raises(ValueError):
-            FiniteTopSpace((0, 1), frozenset({0b00, 0b01}))
-
-    def test_open_beyond_the_points_rejected(self):
-        with pytest.raises(ValueError, match="not a subset"):
-            FiniteTopSpace((0, 1), frozenset({0b00, 0b11, 0b100, 0b111}))
-
-    def test_min_open_and_neighborhood_filter(self):
-        space = FiniteTopSpace.discrete((0, 1))
-        assert space.min_open(0) == 0b01
-        assert space.neighborhood_filter(0).kernel_elements() == (0,)
-
-    def test_hausdorff_iff_discrete_on_all_small_topologies(self):
-        # every family of subsets of a 3-point set that is a topology
-        points = (0, 1, 2)
-        for fam_code in range(1 << 8):
-            fam = frozenset(m for m in range(8) if (fam_code >> m) & 1)
-            try:
-                space = FiniteTopSpace(points, fam)
-            except ValueError:
-                continue
-            assert space.is_hausdorff() == space.is_discrete()
-
-
 class TestLimBeta:
+    """The limit map of the ultrafilter space: ``limit_along`` the
+    principal ultrafilters and their direct images."""
+
     def test_principal_goes_to_its_point(self):
-        space = FiniteTopSpace.discrete((0, 1, 2))
-        lim = lim_beta(space)
-        for y in space.points:
-            assert lim(principal_ultrafilter(space.points, y)) == y
-
-    def test_requires_hausdorff(self):
-        sierpinski = FiniteTopSpace((0, 1), frozenset({0b00, 0b10, 0b11}))
-        with pytest.raises(ValueError, match="Hausdorff"):
-            lim_beta(sierpinski)
-
-    def test_rejects_non_ultrafilters(self):
-        space = FiniteTopSpace.discrete((0, 1))
-        with pytest.raises(ValueError):
-            lim_beta(space)(trivial_filter((0, 1)))
+        ground = (0, 1, 2)
+        for y in ground:
+            assert limit_along(principal_ultrafilter(ground, y), lambda q: q) == y
 
     def test_naturality_all_maps_between_small_discrete_spaces(self):
+        # the pushed principal ultrafilter at y converges to phi[y]
         for s_size in (1, 2, 3):
             for t_size in (1, 2, 3):
-                source = FiniteTopSpace.discrete(tuple(range(s_size)))
-                target = FiniteTopSpace.discrete(tuple(range(t_size)))
-                lim_s, lim_t = lim_beta(source), lim_beta(target)
+                source, target = tuple(range(s_size)), tuple(range(t_size))
                 for phi in product(range(t_size), repeat=s_size):
-                    for y in range(s_size):
-                        u = principal_ultrafilter(source.points, y)
-                        pushed = direct_image(lambda q: phi[q], u, target.points)
-                        assert lim_t(pushed) == phi[lim_s(u)]
+                    for y in source:
+                        u = principal_ultrafilter(source, y)
+                        pushed = direct_image(lambda q: phi[q], u, target)
+                        assert limit_along(pushed, lambda q: q) == phi[y]
 
 
 class TestBruteForceOracles:

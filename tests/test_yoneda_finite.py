@@ -12,7 +12,7 @@ from liftlab.measure_algebra import SetTransform
 from liftlab.measure_space import averageable_sets
 from liftlab.yoneda_finite import (ProbeFamily, TauCandidate,
                                    adjunction_bijection, all_functions,
-                                   beta_map, beta_space, compose,
+                                   beta_space, compose,
                                    composite_indices, default_probes,
                                    enumerate_natural, enumerate_natural_raw,
                                    is_natural, kernel_from_tau,
@@ -82,35 +82,17 @@ def _with_entry(tau, s, fn, out):
 
 class TestBetaSpace:
     def test_point_count(self):
-        assert len(beta_space((1, 2)).points) == 2
+        assert len(beta_space((1, 2))) == 2
 
     def test_delta_bijective_on_s1_ground(self, s1):
         ground = averageable_sets(s1)
-        space = beta_space(ground)
-        assert len(space.points) == 6
-        assert len({p.kernel for p in space.points}) == 6
+        points = beta_space(ground)
+        assert len(points) == 6
+        assert len({p.kernel for p in points}) == 6
 
     def test_empty_ground_rejected(self):
         with pytest.raises(ValueError):
             beta_space(())
-
-    def test_identity_maps_to_identity(self):
-        ground = (0, 1, 2)
-        mapped = beta_map(lambda q: q, ground, ground)
-        for q in ground:
-            u = principal_ultrafilter(ground, q)
-            assert mapped(u) == u
-
-    def test_map_action_is_functorial(self):
-        source, target = (0, 1), (0, 1, 2)
-        f = {0: 2, 1: 0}
-        g = {0: 1, 1: 0, 2: 2}
-        one = beta_map(lambda q: g[f[q]], source, target)
-        f_then_g = beta_map(lambda q: g[q], target, target)
-        f_only = beta_map(lambda q: f[q], source, target)
-        for q in source:
-            u = principal_ultrafilter(source, q)
-            assert one(u) == f_then_g(f_only(u))
 
 
 class TestTauFromKernel:

@@ -461,10 +461,6 @@ def regular_tables(n: int) -> tuple[PartialMagma, ...]:
     Regularity implies unitality, so the vectorized unit pre-filter loses
     nothing; the survivors get the full classification.
     """
-    if n >= 3:
-        idx, tables = unital_table_indices(n)
-        rows = tables[idx]
-    else:
-        rows = all_tables_array(n)
-    pms = (pm_from_row(n, row) for row in rows)
+    idx, tables = unital_table_indices(n)
+    pms = (pm_from_row(n, row) for row in tables[idx])
     return tuple(pm for pm in pms if classify(pm).regular)

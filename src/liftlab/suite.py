@@ -8,6 +8,7 @@ body, so two runs with one seed are byte-identical.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from math import comb
 
@@ -30,10 +31,15 @@ from .verdict import jsonable
 
 def _check_s1_lifting_oracle(seed: int) -> dict:
     space = build_space([1, 1, 0])
-    brute = brute_force_liftings(space)
+    brute = [t.table for t in brute_force_liftings(space)]
     enumerated = sorted(t.table for t in enumerate_liftings(space))
-    ok = [t.table for t in brute] == enumerated
-    return {"pass": ok, "brute_force": len(brute), "enumerated": len(enumerated)}
+    out = {"pass": brute == enumerated, "brute_force": len(brute),
+           "enumerated": len(enumerated)}
+    if brute != enumerated:
+        # compared as multisets, so a table listed twice is named too
+        b, e = Counter(brute), Counter(enumerated)
+        out["witness"] = jsonable(min((b - e) | (e - b)))
+    return out
 
 
 def _check_s2_sampled_oracle(seed: int) -> dict:
@@ -188,10 +194,10 @@ def natequiv_report(source_name: str, target_name: str) -> dict:
             if len(homs) != len(trans):
                 pair_mismatches.append((t.arrow_map, s.arrow_map))
                 continue
-            converted = {nat_from_hom(a).components for a in homs}
-            if converted != {tau.components for tau in trans}:
+            converted = [nat_from_hom(a) for a in homs]
+            if {nat.components for nat in converted} != {tau.components for tau in trans}:
                 pair_mismatches.append((t.arrow_map, s.arrow_map))
-            if any(hom_from_nat(nat_from_hom(a)) != a for a in homs):
+            if any(hom_from_nat(nat) != a for nat, a in zip(converted, homs)):
                 pair_mismatches.append((t.arrow_map, s.arrow_map))
     return {
         "pass": hom_total == trans_total and not pair_mismatches,

@@ -126,10 +126,17 @@ FAULTS = {
 }
 
 
+#: Checks whose failing report names the object that broke.
+WITNESSED = {"s1_lifting_oracle"}
+
+
 @pytest.mark.parametrize("name", list(suite.CHECKS))
 def test_injected_fault_fails_the_check(monkeypatch, name):
     assert name in FAULTS, f"check {name!r} has no fault-injection case"
     module, target, fault = FAULTS[name]
     wrap(monkeypatch, module, target, fault)
-    assert suite.run_check(name)["pass"] is False
+    out = suite.run_check(name)
+    assert out["pass"] is False
+    if name in WITNESSED:
+        assert out["witness"] is not None
 

@@ -388,7 +388,7 @@ class TestSweepInfrastructure:
         for n in (1, 2):
             pure = [pm_from_row(n, row) for row in all_tables_array(n)
                     if classify(pm_from_row(n, row)).regular]
-            assert len(regular_tables(n)) == len(pure)
+            assert regular_tables(n) == tuple(pure)
             assert regular_tables(n) is regular_tables(n)
 
 

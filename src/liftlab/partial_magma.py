@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import combinations, product
 from typing import Callable, Sequence
 
 from .verdict import InternalCheckError, Verdict
@@ -337,6 +337,42 @@ def matrix_magma(dims: Sequence[tuple[int, int]]) -> tuple[PartialMagma, tuple[s
     return build_pm(n, table), labels
 
 
+@cache
+def regular_tables(n: int) -> tuple[PartialMagma, ...]:
+    """All regular partial magmas on n elements, built once per n, in
+    ``all_tables_array`` order.
+
+    Each candidate is built as a category: a nonempty set of units, a
+    (dom, cod) pair of units for every other element, and for each x, y
+    with dom x = cod y the product y if x is a unit, x if y is one, and
+    otherwise any element of hom(dom y, cod x); every other product is
+    undefined.  ``classify`` keeps the regular candidates.
+    """
+    found = []
+    for k in range(1, n + 1):
+        for us in combinations(range(n), k):
+            others = [x for x in range(n) if x not in us]
+            for pins in product(product(us, repeat=2), repeat=len(others)):
+                pin = {u: (u, u) for u in us} | dict(zip(others, pins))
+                cells = []
+                for x, y in product(range(n), repeat=2):
+                    if pin[x][0] != pin[y][1]:
+                        cells.append([None])
+                    elif x in us or y in us:
+                        cells.append([y if x in us else x])
+                    else:  # hom(dom y, cod x)
+                        cells.append([z for z in range(n)
+                                      if pin[z] == (pin[y][0], pin[x][1])])
+                for flat in product(*cells):
+                    pm = PartialMagma(n, tuple(flat[i:i + n] for i in range(0, n * n, n)))
+                    if classify(pm).regular:
+                        found.append(pm)
+    # base-(n+1) digits, cell i*n+j the digit of weight (n+1)^(i*n+j)
+    return tuple(sorted(found, key=lambda pm: [-1 if v is None else v
+                                               for row in pm.table[::-1]
+                                               for v in row[::-1]]))
+
+
 # ---------------------------------------------------------------------------
 # Vectorized sweeps over every operation table (numpy).
 # ---------------------------------------------------------------------------
@@ -357,12 +393,6 @@ def all_tables_array(n: int):
     for c in range(cells):
         out[:, c] = ((idx // (base ** c)) % base).astype(np.int8) - 1
     return out
-
-
-def pm_from_row(n: int, row) -> PartialMagma:
-    table = [[None if row[i * n + j] < 0 else int(row[i * n + j])
-              for j in range(n)] for i in range(n)]
-    return build_pm(n, table)
 
 
 @dataclass(frozen=True)
@@ -433,34 +463,3 @@ def interchange_sweep(n: int = 3, rows=None) -> SweepReport:
         both_defined += int(np.count_nonzero(both))
         violations += int(np.count_nonzero(both & (lhs != rhs)))
     return SweepReport(tables.shape[0], n ** 8, both_defined, violations)
-
-
-def unital_table_indices(n: int):
-    """Indices (into all_tables_array order) of the tables with a unit."""
-    import numpy as np
-
-    tables = all_tables_array(n)
-    unital = np.zeros(tables.shape[0], dtype=bool)
-    for e in range(n):
-        cond = tables[:, e * n + e] == e
-        for y in range(n):
-            if y == e:
-                continue
-            ey = tables[:, e * n + y]
-            ye = tables[:, y * n + e]
-            cond &= (ey == -1) | (ey == y)
-            cond &= (ye == -1) | (ye == y)
-        unital |= cond
-    return np.nonzero(unital)[0], tables
-
-
-@cache
-def regular_tables(n: int) -> tuple[PartialMagma, ...]:
-    """All regular partial magmas on n elements, built once per n.
-
-    Regularity implies unitality, so the vectorized unit pre-filter loses
-    nothing; the survivors get the full classification.
-    """
-    idx, tables = unital_table_indices(n)
-    pms = (pm_from_row(n, row) for row in tables[idx])
-    return tuple(pm for pm in pms if classify(pm).regular)

@@ -29,6 +29,15 @@ from .partial_magma import (build_pm, classify, interchange_sweep,
 from .verdict import jsonable
 
 
+def _outcome(failed: list, **details) -> dict:
+    """``pass`` and the details; on failure, the first failure as ``witness``
+    (so a passing report keeps its bytes)."""
+    out = {"pass": not failed, **details}
+    if failed:
+        out["witness"] = failed[0]
+    return out
+
+
 def _check_s1_lifting_oracle(seed: int) -> dict:
     space = build_space([1, 1, 0])
     brute = [t.table for t in brute_force_liftings(space)]
@@ -47,22 +56,22 @@ def _check_s2_sampled_oracle(seed: int) -> dict:
     return {"pass": bool(v), "detail": v.to_dict()}
 
 
-def _theorem1(weights, require_roundtrip: bool) -> dict:
+def _theorem1(weights) -> dict:
     report = verify_theorem1(build_space(weights))
-    ok = report.all_pass and (report.round_trips_identical or not require_roundtrip)
+    ok = report.all_pass and report.round_trips_identical
     return {"pass": ok, "report": report.to_dict()}
 
 
 def _check_theorem1_s1(seed: int) -> dict:
-    return _theorem1([1, 1, 0], require_roundtrip=True)
+    return _theorem1([1, 1, 0])
 
 
 def _check_theorem1_s2(seed: int) -> dict:
-    return _theorem1([1, 1, 0, 0], require_roundtrip=True)
+    return _theorem1([1, 1, 0, 0])
 
 
 def _check_theorem1_no_null(seed: int) -> dict:
-    return _theorem1([1, 2, 3], require_roundtrip=True)
+    return _theorem1([1, 2, 3])
 
 
 def _check_random_recovery(seed: int) -> dict:
@@ -96,18 +105,19 @@ def _check_pm_fixtures(seed: int) -> dict:
     magmas = named_magmas()
     sub = classify(magmas["nat_sub"])
     details = {"nat_sub": sub.to_dict()}
-    ok = (sub.units == (0,) and not sub.associative and not sub.fastened
-          and not sub.regular)
+    failed = [] if (sub.units == (0,) and not sub.associative
+                    and not sub.fastened and not sub.regular) else ["nat_sub"]
     for name in ("M1", "M2", "M3", "M6", "MSQ"):
         c = classify(magmas[name])
         details[name] = {"regular": c.regular, "units": list(c.units),
                          "total": c.total}
-        ok = ok and c.regular
-    ok = ok and classify(magmas["M1"]).monoid and not classify(magmas["M2"]).total
-    for n in (1, 2, 3):
-        ok = ok and classify(twin_pm(n)).regular
-    ok = ok and classify(square_pm(magmas["M3"])).regular
-    return {"pass": ok, "classifications": details}
+        if not (c.regular and (name != "M1" or c.monoid)
+                and (name != "M2" or not c.total)):
+            failed.append(name)
+    others = {f"twin_pm({n})": twin_pm(n) for n in (1, 2, 3)}
+    others["square_pm(M3)"] = square_pm(magmas["M3"])
+    failed += [name for name, pm in others.items() if not classify(pm).regular]
+    return _outcome(failed, classifications=details)
 
 
 def _closed_form_both_defined(n: int) -> int:
@@ -122,8 +132,12 @@ def _closed_form_both_defined(n: int) -> int:
 
 def _interchange(n: int) -> dict:
     rep = interchange_sweep(n)
-    ok = rep.violations == 0 and rep.both_defined == _closed_form_both_defined(n)
-    return {"pass": ok, "sweep": rep.to_dict()}
+    expected = _closed_form_both_defined(n)
+    ok = rep.violations == 0 and rep.both_defined == expected
+    return _outcome([] if ok else [{"both_defined": rep.both_defined,
+                                    "expected": expected,
+                                    "violations": rep.violations}],
+                    sweep=rep.to_dict())
 
 
 def _check_interchange_n2(seed: int) -> dict:
@@ -228,13 +242,14 @@ def _check_yoneda(seed: int) -> dict:
     from .yoneda_finite import yoneda_roundtrip
 
     reports = []
-    ok = True
+    failed = []
     for z in (1, 2, 3):
         for x in (1, 2):
             rep = yoneda_roundtrip(z, x)
             reports.append(rep.to_dict())
-            ok = ok and rep.all_pass
-    return {"pass": ok, "configs": reports}
+            if not rep.all_pass:
+                failed.append([z, x])
+    return _outcome(failed, configs=reports)
 
 
 def _check_adjunction(seed: int) -> dict:
@@ -242,7 +257,8 @@ def _check_adjunction(seed: int) -> dict:
 
     reports = [adjunction_bijection(2, 3).to_dict(),
                adjunction_bijection(1, 4).to_dict()]
-    return {"pass": all(r["all_pass"] for r in reports), "configs": reports}
+    failed = [[r["x_size"], r["d_size"]] for r in reports if not r["all_pass"]]
+    return _outcome(failed, configs=reports)
 
 
 #: name -> (function, heavy). Heavy checks are skipped by --quick.

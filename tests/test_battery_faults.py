@@ -127,7 +127,10 @@ FAULTS = {
 
 
 #: Checks whose failing report names the object that broke.
-WITNESSED = {"s1_lifting_oracle"}
+WITNESSED = {"s1_lifting_oracle", "random_function_recovery", "pm_fixtures",
+             "interchange_n2", "interchange_n3", "single_unit_totality",
+             "cat_rpm_roundtrips", "twin_categories", "yoneda_roundtrips",
+             "adjunction"}
 
 
 @pytest.mark.parametrize("name", list(suite.CHECKS))

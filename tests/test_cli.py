@@ -226,6 +226,17 @@ class TestExceptionBoundary:
                               timeout=60)
         assert proc.returncode == 0, proc.stderr
 
+    def test_category_checks_leave_numpy_unimported(self):
+        # the regular magmas are built by structure, not by a numpy scan
+        script = ("import sys\n"
+                  "from liftlab.suite import run_check\n"
+                  "for name in ('single_unit_totality', 'cat_rpm_roundtrips'):\n"
+                  "    assert run_check(name)['pass'] is True, name\n"
+                  "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=_source_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
 
 # Malformed documents: a valid document of each kind with one part, at any
 # depth, replaced by a wrong JSON type or dropped.  Valid documents stay small

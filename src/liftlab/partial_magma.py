@@ -207,6 +207,14 @@ class InterchangeReport:
                 "holds": self.holds, "violations": [list(v) for v in self.violations]}
 
 
+def _after(n: int) -> dict:
+    """after[y] for every pair y over n elements, in ``index_pair`` order:
+    each pair p with ``hmul(p, y)`` defined, with that product."""
+    pairs = [index_pair(n, e) for e in range(n * n)]
+    return {y: [(p, h) for p in pairs if (h := hmul(p, y)) is not None]
+            for y in pairs}
+
+
 def interchange_check(pm: PartialMagma) -> InterchangeReport:
     """Exhaustive interchange law on pairs over ``pm``.
 
@@ -218,14 +226,11 @@ def interchange_check(pm: PartialMagma) -> InterchangeReport:
     product, x' and z' with ``hmul(x', x)`` and ``hmul(z', z)`` defined.
     ``quadruples`` still counts all n**8.
     """
-    pairs = [index_pair(pm.n, e) for e in range(pm.n * pm.n)]
-    # after[y]: each pair p with hmul(p, y) defined, with that product
-    after = {y: [(p, h) for p in pairs if (h := hmul(p, y)) is not None]
-             for y in pairs}
+    after = _after(pm.n)
     both = 0
     violations = []
-    for x in pairs:
-        for z in pairs:
+    for x in after:
+        for z in after:
             vxz = vmul(pm, x, z)
             if vxz is None:
                 continue
@@ -239,6 +244,61 @@ def interchange_check(pm: PartialMagma) -> InterchangeReport:
                         if lhs != rhs:
                             violations.append((x, z, xp, zp, lhs, rhs))
     return InterchangeReport(pm.n ** 8, both, tuple(violations))
+
+
+@dataclass(frozen=True)
+class SweepReport:
+    tables: int
+    quadruples_per_table: int
+    both_defined: int
+    violations: int
+
+    def to_dict(self) -> dict:
+        return {"tables": self.tables,
+                "quadruples_per_table": self.quadruples_per_table,
+                "both_defined": self.both_defined, "violations": self.violations}
+
+
+class _Cells(dict):
+    """Some cells of an operation table, keyed by (x, y), read by ``vmul``
+    as a magma's ``op``."""
+
+    def op(self, x: int, y: int) -> int | None:
+        return self[x, y]
+
+
+def interchange_sweep(n: int = 3) -> SweepReport:
+    """Interchange law over every operation table on n elements, summed.
+
+    Only a quadruple (x, z, x', z') with ``hmul(x', x)`` and ``hmul(z', z)``
+    defined can be doubly defined (729 of the 6561 for n = 3).  Its two
+    sides read at most six cells of a table: the components of
+    ``vmul(x, z)``, ``vmul(x', z')`` and ``vmul(hmul(x', x), hmul(z', z))``.
+    So each such quadruple is evaluated, through ``hmul`` and ``vmul``, on
+    every assignment of its c cells (undefined or an element), and each
+    assignment counts for the (n+1)^(n*n - c) tables that agree with it.
+    The totals are those of a loop over all (n+1)^(n*n) tables: a
+    violation wherever both sides are defined and differ.
+    ``quadruples_per_table`` reports all n^8.
+    """
+    after = _after(n)
+    tables = (n + 1) ** (n * n)
+    both_defined = violations = 0
+    for x, z in product(after, repeat=2):
+        for (xp, hx), (zp, hz) in product(after[x], after[z]):
+            cells = sorted({(x[0], z[0]), (x[1], z[1]), (xp[0], zp[0]),
+                            (xp[1], zp[1]), (hx[0], hz[0]), (hx[1], hz[1])})
+            weight = tables // (n + 1) ** len(cells)
+            for values in product([None, *range(n)], repeat=len(cells)):
+                table = _Cells(zip(cells, values))
+                vxz = vmul(table, x, z)
+                vpzp = vmul(table, xp, zp) if vxz is not None else None
+                lhs = hmul(vpzp, vxz) if vpzp is not None else None
+                rhs = vmul(table, hx, hz) if lhs is not None else None
+                if rhs is not None:
+                    both_defined += weight
+                    violations += weight * (lhs != rhs)
+    return SweepReport(tables, n ** 8, both_defined, violations)
 
 
 def verify_chain_rule(pm: PartialMagma) -> Verdict:
@@ -339,8 +399,9 @@ def matrix_magma(dims: Sequence[tuple[int, int]]) -> tuple[PartialMagma, tuple[s
 
 @cache
 def regular_tables(n: int) -> tuple[PartialMagma, ...]:
-    """All regular partial magmas on n elements, built once per n, in
-    ``all_tables_array`` order.
+    """All regular partial magmas on n elements, built once per n, ordered
+    by the table read as a number in base n+1: cell (i, j) is the digit of
+    weight (n+1)^(i*n+j), undefined the digit 0 and element v the digit v+1.
 
     Each candidate is built as a category: a nonempty set of units, a
     (dom, cod) pair of units for every other element, and for each x, y
@@ -367,99 +428,9 @@ def regular_tables(n: int) -> tuple[PartialMagma, ...]:
                     pm = PartialMagma(n, tuple(flat[i:i + n] for i in range(0, n * n, n)))
                     if classify(pm).regular:
                         found.append(pm)
-    # base-(n+1) digits, cell i*n+j the digit of weight (n+1)^(i*n+j)
+    # the digits, most significant first
     return tuple(sorted(found, key=lambda pm: [-1 if v is None else v
                                                for row in pm.table[::-1]
                                                for v in row[::-1]]))
 
 
-# ---------------------------------------------------------------------------
-# Vectorized sweeps over every operation table (numpy).
-# ---------------------------------------------------------------------------
-
-def all_tables_array(n: int):
-    """Every partial operation table on n elements, one row per table.
-
-    Entries are -1 for undefined, else the product; there are (n+1)^(n*n)
-    tables, enumerated in base-(n+1) digit order.
-    """
-    import numpy as np
-
-    cells = n * n
-    base = n + 1
-    total = base ** cells
-    idx = np.arange(total, dtype=np.int64)
-    out = np.empty((total, cells), dtype=np.int8)
-    for c in range(cells):
-        out[:, c] = ((idx // (base ** c)) % base).astype(np.int8) - 1
-    return out
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    tables: int
-    quadruples_per_table: int
-    both_defined: int
-    violations: int
-
-    def to_dict(self) -> dict:
-        return {"tables": self.tables,
-                "quadruples_per_table": self.quadruples_per_table,
-                "both_defined": self.both_defined, "violations": self.violations}
-
-
-#: Tables per batch in ``interchange_sweep``.
-SWEEP_BATCH = 1024
-
-
-def interchange_sweep(n: int = 3, rows=None) -> SweepReport:
-    """Interchange law over every operation table on n elements.
-
-    With H the horizontal table (``H[e, f]`` is ``hmul(e, f)``, read from
-    ``twin_pm`` and so from ``hmul`` itself) and V the vertical table of an
-    operation table (``V[e, f]`` gathers its two component cells), the law
-    compares, for pairs x, z, x', z', the left side ``H[V[x',z'], V[x,z]]``
-    with the right side ``V[H[x',x], H[z',z]]``.  The right side is
-    undefined unless ``H[x',x]`` and ``H[z',z]`` both are, so no other
-    quadruple can be doubly defined; only those (729 of the 6561 for
-    n = 3) are evaluated.  Each side is built by its own lookups, and a
-    violation is counted wherever both are defined and differ.
-    ``quadruples_per_table`` reports all n^8.  Pass ``rows`` (an array of
-    flat tables) to sweep a specific subset instead of all tables.
-    """
-    import numpy as np
-
-    tables = all_tables_array(n) if rows is None else np.asarray(rows, dtype=np.int8)
-    m = n * n
-    undefined = m
-    # Pair indices and the sentinel fit one small unsigned type, and so
-    # does a flat index into H with its sentinel row and column.
-    side = m + 1
-    dtype = np.min_scalar_type(side * side - 1)
-    h = np.full((side, side), undefined, dtype=dtype)
-    h[:m, :m] = [[undefined if v is None else v for v in row] for row in twin_pm(n).table]
-    # V[e, f] = (T[e1, f1], T[e2, f2]), flattened as e * m + f.
-    e, f = np.divmod(np.arange(m * m), m)
-    cell1 = (e // n) * n + f // n
-    cell2 = (e % n) * n + f % n
-    # Every quadruple (x, z, x', z') with H[x', x] and H[z', z] defined.
-    hp, hq = np.nonzero(h[:m, :m] != undefined)
-    i, j = np.divmod(np.arange(hp.size ** 2), hp.size)
-    xp, x, zp, z = hp[i], hq[i], hp[j], hq[j]
-    v_xz = x * m + z
-    v_pzp = xp * m + zp
-    v_rhs = h[xp, x].astype(np.intp) * m + h[zp, z]
-    h_flat = h.ravel()
-    both_defined = 0
-    violations = 0
-    for start in range(0, tables.shape[0], SWEEP_BATCH):
-        tb = tables[start:start + SWEEP_BATCH].astype(np.intp)
-        a = tb[:, cell1]
-        b = tb[:, cell2]
-        v = np.where((a < 0) | (b < 0), undefined, a * n + b).astype(dtype)
-        lhs = h_flat[(v * dtype.type(side))[:, v_pzp] + v[:, v_xz]]
-        rhs = v[:, v_rhs]
-        both = (lhs != undefined) & (rhs != undefined)
-        both_defined += int(np.count_nonzero(both))
-        violations += int(np.count_nonzero(both & (lhs != rhs)))
-    return SweepReport(tables.shape[0], n ** 8, both_defined, violations)

@@ -53,13 +53,14 @@ def _check_s1_lifting_oracle(seed: int) -> dict:
 
 def _check_s2_sampled_oracle(seed: int) -> dict:
     v = sampled_lifting_oracle(build_space([1, 1, 0, 0]), samples=500, seed=seed)
-    return {"pass": bool(v), "detail": v.to_dict()}
+    return _outcome([] if v else [v.witness], detail=v.to_dict())
 
 
 def _theorem1(weights) -> dict:
     report = verify_theorem1(build_space(weights))
-    ok = report.all_pass and report.round_trips_identical
-    return {"pass": ok, "report": report.to_dict()}
+    failed = [list(e.retraction) for e in report.entries
+              if not (e.passed and e.round_trip_identity)]
+    return _outcome(failed, report=report.to_dict())
 
 
 def _check_theorem1_s1(seed: int) -> dict:
@@ -97,8 +98,8 @@ def _check_random_recovery(seed: int) -> dict:
 def _check_filter_principality(seed: int) -> dict:
     a = principality_oracle(4)
     b = base_generation_oracle(4)
-    return {"pass": bool(a) and bool(b),
-            "principality": a.to_dict(), "base_generation": b.to_dict()}
+    return _outcome([v.witness for v in (a, b) if not v],
+                    principality=a.to_dict(), base_generation=b.to_dict())
 
 
 def _check_pm_fixtures(seed: int) -> dict:
@@ -223,7 +224,9 @@ def natequiv_report(source_name: str, target_name: str) -> dict:
 
 
 def _check_natequiv_2_3(seed: int) -> dict:
-    return natequiv_report("2", "3")
+    details = natequiv_report("2", "3")
+    del details["pass"]  # it passes exactly when no pair mismatches
+    return _outcome(details["mismatched_pairs"], **details)
 
 
 def _check_twin_categories(seed: int) -> dict:

@@ -1,8 +1,9 @@
 """Every check in the report battery can fail.
 
 One case per key of ``suite.CHECKS``: each injects a fault into one name
-the check relies on and expects ``pass: False``, not a pass and not an
-exception.  A check added without a case here fails its own case.
+the check relies on and expects ``pass: False`` with a ``witness``, not a
+pass and not an exception.  A check added without a case here fails its
+own case.
 """
 
 from dataclasses import replace
@@ -126,13 +127,6 @@ FAULTS = {
 }
 
 
-#: Checks whose failing report names the object that broke.
-WITNESSED = {"s1_lifting_oracle", "random_function_recovery", "pm_fixtures",
-             "interchange_n2", "interchange_n3", "single_unit_totality",
-             "cat_rpm_roundtrips", "twin_categories", "yoneda_roundtrips",
-             "adjunction"}
-
-
 @pytest.mark.parametrize("name", list(suite.CHECKS))
 def test_injected_fault_fails_the_check(monkeypatch, name):
     assert name in FAULTS, f"check {name!r} has no fault-injection case"
@@ -140,6 +134,5 @@ def test_injected_fault_fails_the_check(monkeypatch, name):
     wrap(monkeypatch, module, target, fault)
     out = suite.run_check(name)
     assert out["pass"] is False
-    if name in WITNESSED:
-        assert out["witness"] is not None
+    assert out["witness"] is not None
 

@@ -213,7 +213,8 @@ class TestExceptionBoundary:
                     ["space", "theorem1", space],
                     ["space", "liftings", "--oracle", space],
                     ["pm", "classify", magma],
-                    ["pm", "interchange", magma]]
+                    ["pm", "interchange", magma],
+                    ["report", "--quick"]]
         script = ("import json, sys\n"
                   "from click.testing import CliRunner\n"
                   "from liftlab.cli import main\n"
@@ -227,11 +228,13 @@ class TestExceptionBoundary:
         assert proc.returncode == 0, proc.stderr
 
     def test_category_checks_leave_numpy_unimported(self):
-        # the regular magmas are built by structure, not by a numpy scan
+        # the whole battery, the interchange sweeps and the regular magmas
+        # included, runs without numpy
         script = ("import sys\n"
-                  "from liftlab.suite import run_check\n"
-                  "for name in ('single_unit_totality', 'cat_rpm_roundtrips'):\n"
-                  "    assert run_check(name)['pass'] is True, name\n"
+                  "from liftlab.suite import run_suite\n"
+                  "report = run_suite()\n"
+                  "assert report['all_pass'] is True\n"
+                  "assert 'interchange_n3' in [c['name'] for c in report['checks']]\n"
                   "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
         proc = subprocess.run([sys.executable, "-c", script], env=_source_env(),
                               capture_output=True, text=True, timeout=60)
@@ -398,7 +401,7 @@ class TestPmCommands:
 class TestCatCommands:
     def test_twin_of_single_arrow_category(self, runner, tmp_path):
         doc = write(tmp_path, "cat.json", {
-            "kind": "category", "n": 3, "check_regular": True,
+            "kind": "category", "n": 3,
             "table": [[0, None, None], [None, 1, 2], [2, None, None]]})
         result = runner.invoke(main, ["cat", "twin", doc, "--format", "json"])
         assert result.exit_code == 0
@@ -408,7 +411,7 @@ class TestCatCommands:
 
     def test_twin_rejects_non_regular_as_check_failure(self, runner, tmp_path):
         doc = write(tmp_path, "cat.json", {
-            "kind": "category", "n": 2, "check_regular": True,
+            "kind": "category", "n": 2,
             "table": [[None, None], [None, None]]})
         result = runner.invoke(main, ["cat", "twin", doc, "--format", "json"])
         assert result.exit_code == 1

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from liftlab import partial_magma
 from liftlab.category_kernel import cat_from_rpm
-from liftlab.partial_magma import (all_tables_array,
-                                   build_pm, classify,
+from liftlab.partial_magma import (SweepReport, build_pm, classify,
                                    hmul, index_pair, interchange_check,
                                    interchange_sweep, is_pm_hom, matrix_magma,
                                    nat_subtraction_magma, pair_index,
@@ -16,6 +15,83 @@ from liftlab.partial_magma import (all_tables_array,
                                    square_pm, twin_pm,
                                    units, verify_chain_rule, vmul)
 from liftlab.suite import run_check
+
+
+def all_tables_array(n):
+    """Every partial operation table on n elements, one row per table.
+
+    Entries are -1 for undefined, else the product; there are (n+1)^(n*n)
+    tables, in base-(n+1) digit order (cell c is the digit of weight
+    (n+1)^c).
+    """
+    import numpy as np
+
+    cells = n * n
+    base = n + 1
+    total = base ** cells
+    idx = np.arange(total, dtype=np.int64)
+    out = np.empty((total, cells), dtype=np.int8)
+    for c in range(cells):
+        out[:, c] = ((idx // (base ** c)) % base).astype(np.int8) - 1
+    return out
+
+
+def interchange_sweep_oracle(n, rows=None):
+    """Brute force: the interchange law table by table, batched in numpy,
+    over every table on n elements or over ``rows`` (flat tables).
+
+    With H the horizontal table (``H[e, f]`` is ``hmul(e, f)``, read from
+    ``twin_pm`` and so from ``hmul`` itself) and V the vertical table of an
+    operation table (``V[e, f]`` gathers its two component cells), the law
+    compares, for pairs x, z, x', z' with ``H[x', x]`` and ``H[z', z]``
+    defined, the left side ``H[V[x',z'], V[x,z]]`` with the right side
+    ``V[H[x',x], H[z',z]]``.
+    """
+    import numpy as np
+
+    tables = all_tables_array(n) if rows is None else np.asarray(rows, dtype=np.int8)
+    m = n * n
+    undefined = m
+    # Pair indices and the sentinel fit one small unsigned type, and so
+    # does a flat index into H with its sentinel row and column.
+    side = m + 1
+    dtype = np.min_scalar_type(side * side - 1)
+    h = np.full((side, side), undefined, dtype=dtype)
+    h[:m, :m] = [[undefined if v is None else v for v in row] for row in twin_pm(n).table]
+    # V[e, f] = (T[e1, f1], T[e2, f2]), flattened as e * m + f.
+    e, f = np.divmod(np.arange(m * m), m)
+    cell1 = (e // n) * n + f // n
+    cell2 = (e % n) * n + f % n
+    # Every quadruple (x, z, x', z') with H[x', x] and H[z', z] defined.
+    hp, hq = np.nonzero(h[:m, :m] != undefined)
+    i, j = np.divmod(np.arange(hp.size ** 2), hp.size)
+    xp, x, zp, z = hp[i], hq[i], hp[j], hq[j]
+    v_xz = x * m + z
+    v_pzp = xp * m + zp
+    v_rhs = h[xp, x].astype(np.intp) * m + h[zp, z]
+    h_flat = h.ravel()
+    both_defined = 0
+    violations = 0
+    for start in range(0, tables.shape[0], 1024):
+        tb = tables[start:start + 1024].astype(np.intp)
+        a = tb[:, cell1]
+        b = tb[:, cell2]
+        v = np.where((a < 0) | (b < 0), undefined, a * n + b).astype(dtype)
+        lhs = h_flat[(v * dtype.type(side))[:, v_pzp] + v[:, v_xz]]
+        rhs = v[:, v_rhs]
+        both = (lhs != undefined) & (rhs != undefined)
+        both_defined += int(np.count_nonzero(both))
+        violations += int(np.count_nonzero(both & (lhs != rhs)))
+    return SweepReport(tables.shape[0], n ** 8, both_defined, violations)
+
+
+def _wrong_product(right):
+    # (0,1) after (1,0) is (1,1); answer (0,0) instead
+    return lambda x, y: (0, 0) if (x, y) == ((0, 1), (1, 0)) else right(x, y)
+
+
+def _dropped_product(right):
+    return lambda x, y: None if (x, y) == ((0, 0), (0, 0)) else right(x, y)
 
 
 def pm_from_row(n, row):
@@ -229,11 +305,10 @@ class TestInterchange:
     def test_sweep_matches_pure_loop_on_two_elements(self):
         # both-defined count table by table over all 81 tables, two
         # independent paths
-        rows = all_tables_array(2)
         pure_total = 0
-        for row in rows:
+        for row in all_tables_array(2):
             pure = interchange_check(pm_from_row(2, row)).both_defined
-            rep = interchange_sweep(2, rows=row[None])
+            rep = interchange_sweep_oracle(2, rows=row[None])
             assert rep.violations == 0 and rep.both_defined == pure
             pure_total += pure
         rep = interchange_sweep(2)
@@ -244,7 +319,7 @@ class TestInterchange:
         rng = random.Random(9)
         rows = all_tables_array(3)
         sample = rows[sorted(rng.sample(range(rows.shape[0]), 40))]
-        rep = interchange_sweep(3, rows=sample)
+        rep = interchange_sweep_oracle(3, rows=sample)
         pure_total = 0
         for row in sample:
             r = interchange_check(pm_from_row(3, row))
@@ -252,39 +327,38 @@ class TestInterchange:
             pure_total += r.both_defined
         assert rep.violations == 0 and rep.both_defined == pure_total
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sweep_matches_the_table_by_table_oracle(self, n):
+        assert interchange_sweep(n) == interchange_sweep_oracle(n)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("fault", [_wrong_product, _dropped_product])
+    def test_faulty_sweep_matches_the_table_by_table_oracle(self, monkeypatch,
+                                                            fault, n):
+        # the cells a quadruple reads come from the faulty products too
+        monkeypatch.setattr(partial_magma, "hmul", fault(partial_magma.hmul))
+        rep = interchange_sweep(n)
+        assert rep == interchange_sweep_oracle(n)
+        assert rep.both_defined < {2: 2088, 3: 89_358_336}[n]
+
 
 class TestFaultInjection:
     """A broken pair product must show up as a failed check."""
 
-    @staticmethod
-    def _wrong_on_one_pair(monkeypatch):
-        right = partial_magma.hmul
-
-        def wrong(x, y):
-            # (0,1) after (1,0) is (1,1); answer (0,0) instead
-            return (0, 0) if (x, y) == ((0, 1), (1, 0)) else right(x, y)
-
-        monkeypatch.setattr(partial_magma, "hmul", wrong)
-
     def test_faulty_hmul_breaks_the_sweep(self, monkeypatch):
-        rng = random.Random(9)
-        rows = all_tables_array(3)
-        sample = rows[sorted(rng.sample(range(rows.shape[0]), 40))]
-        self._wrong_on_one_pair(monkeypatch)
+        monkeypatch.setattr(partial_magma, "hmul", _wrong_product(partial_magma.hmul))
         assert interchange_sweep(2).violations > 0
-        assert interchange_sweep(3, rows=sample).violations > 0
+        assert interchange_sweep(3).violations > 0
 
     def test_faulty_hmul_fails_the_report_check(self, monkeypatch):
         assert run_check("interchange_n2")["pass"]
-        self._wrong_on_one_pair(monkeypatch)
+        monkeypatch.setattr(partial_magma, "hmul", _wrong_product(partial_magma.hmul))
         assert not run_check("interchange_n2")["pass"]
 
     def test_undefined_hmul_fails_the_closed_form(self, monkeypatch):
         # dropping a product loses doubly-defined quadruples without any
         # value disagreeing, so only the closed-form count catches it
-        right = partial_magma.hmul
-        monkeypatch.setattr(partial_magma, "hmul", lambda x, y: (
-            None if (x, y) == ((0, 0), (0, 0)) else right(x, y)))
+        monkeypatch.setattr(partial_magma, "hmul", _dropped_product(partial_magma.hmul))
         out = run_check("interchange_n2")
         assert out["sweep"]["violations"] == 0
         assert out["sweep"]["both_defined"] < 2088 and not out["pass"]

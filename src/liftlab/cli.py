@@ -396,7 +396,7 @@ def yoneda_roundtrip_cmd(input_path, z_size, x_size):
 @_command(main, "report", text=_report_lines)
 @seed_option
 @click.option("--quick", is_flag=True, help="Skip the heavy exhaustive sweeps.")
-@click.option("--parallel", type=int, default=1, show_default=True,
+@click.option("--parallel", type=click.IntRange(min=1), default=1, show_default=True,
               help="Worker processes for independent checks.")
 def report_cmd(seed, quick, parallel):
     """Run the whole verification battery over the built-in fixtures."""

@@ -165,59 +165,75 @@ def tail_filter(directed: Sequence[int]) -> Filter:
     return Filter(family, 1 << family.index(reduce(and_, family)))
 
 
+# A family of nonempty subsets of range(size) is an ``int`` code of
+# 2^size - 1 bits: bit s - 1 stands for subset s.  The oracles below visit
+# every code in increasing order and test the filter axioms on the code,
+# listing the members only of the few families that pass.
+
+def _members(code: int) -> list[int]:
+    """The subsets of a family code, ascending."""
+    return [i + 1 for i in bits(code)]
+
+
+def _up_codes(size: int) -> list[int]:
+    """Entry i: the code of the nonempty supersets of subset i + 1."""
+    full = (1 << size) - 1
+    return [sum(1 << (s - 1) for s in range(1, full + 1) if s & a == a)
+            for a in range(1, full + 1)]
+
+
+def _filter_codes(size: int):
+    """The codes of the families of subsets of range(size) that satisfy the
+    filter axioms literally, in increasing order, each with the
+    intersection of its members.
+
+    A family is a filter when it is nonempty, all members are nonempty (so
+    is every subset a code can name), and it is closed under upward
+    inclusion and pairwise intersection.
+    """
+    up = _up_codes(size)
+    for code in range(1, 1 << ((1 << size) - 1)):
+        rest = code
+        while rest:  # upward closure, member by member
+            low = rest & -rest
+            if up[low.bit_length() - 1] & ~code:
+                break
+            rest ^= low
+        else:
+            members = _members(code)
+            if all(a & b and code >> ((a & b) - 1) & 1
+                   for a in members for b in members):
+                yield code, reduce(and_, members)
+
+
 def _literal_filters(size: int) -> list[tuple[frozenset, int]]:
     """All families of subsets of range(size) satisfying the filter axioms
-    literally, paired with the intersection of their members.
-
-    Subsets are bitmasks; a family is a filter when it is nonempty, all
-    members are nonempty, and it is closed under pairwise intersection and
-    upward inclusion.
-    """
-    full = (1 << size) - 1
-    nonempty = list(range(1, full + 1))
-    filters = []
-    for code in range(1, 1 << len(nonempty)):
-        members = [nonempty[i] for i in range(len(nonempty)) if (code >> i) & 1]
-        mset = set(members)
-        ok = True
-        for a in members:
-            for b in members:
-                if a & b not in mset:
-                    ok = False
-                    break
-            if not ok:
-                break
-            for s in nonempty:
-                if s & a == a and s not in mset:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            inter = full
-            for m in members:
-                inter &= m
-            filters.append((frozenset(mset), inter))
-    return filters
+    literally, as sets of bitmasks, paired with the intersection of their
+    members."""
+    return [(frozenset(_members(code)), kernel) for code, kernel in _filter_codes(size)]
 
 
 def principality_oracle(max_size: int = 4) -> Verdict:
     """Brute-force the principality lemma on small grounds.
 
-    Every literal filter must be exactly the up-set of its kernel, and the
-    maximal ones must be exactly those with singleton kernels.
+    Every literal filter must be exactly the up-set of its kernel, read
+    through ``Filter.contains``, and the maximal ones must be exactly those
+    ``is_ultrafilter`` accepts.
     """
     for size in range(1, max_size + 1):
+        ground = tuple(range(size))
         full = (1 << size) - 1
-        filters = _literal_filters(size)
-        for members, kernel in filters:
-            upset = frozenset(s for s in range(1, full + 1) if s & kernel == kernel)
-            if members != upset:
-                return Verdict.fail((size, sorted(members)),
+        filters = list(_filter_codes(size))
+        for code, kernel in filters:
+            f = Filter(ground, kernel)
+            upset = sum(1 << (s - 1) for s in range(1, full + 1) if f.contains(s))
+            if code != upset:
+                return Verdict.fail((size, _members(code)),
                                     "literal filter is not the up-set of its kernel")
-            maximal = not any(members < other for other, _ in filters)
-            if maximal != (bin(kernel).count("1") == 1):
-                return Verdict.fail((size, sorted(members)),
+            maximal = not any(code & ~other == 0 and code != other
+                              for other, _ in filters)
+            if maximal != is_ultrafilter(f):
+                return Verdict.fail((size, _members(code)),
                                     "maximality disagrees with singleton kernel")
     return Verdict.ok(f"all literal filters principal on grounds up to size {max_size}")
 
@@ -232,29 +248,32 @@ def base_generation_oracle(max_size: int = 4) -> Verdict:
     for size in range(1, max_size + 1):
         ground = tuple(range(size))
         full = (1 << size) - 1
-        nonempty = list(range(1, full + 1))
-        for code in range(1, 1 << len(nonempty)):
-            base = [nonempty[i] for i in range(len(nonempty)) if (code >> i) & 1]
-            inter = full
-            for b in base:
-                inter &= b
-            if inter == 0:
-                continue  # improper: filter_from_base rejects these
-            closure = set(base)
-            changed = True
-            while changed:
-                changed = False
-                for a in list(closure):
-                    for b in list(closure):
-                        if a & b not in closure:
-                            closure.add(a & b)
-                            changed = True
-            literal = {s for s in range(1, full + 1)
-                       if any(s & m == m for m in closure)}
+        up = _up_codes(size)
+        # entry e: the code of the subsets that contain element e
+        holding = [sum(1 << (s - 1) for s in range(1, full + 1) if s >> e & 1)
+                   for e in ground]
+        for code in range(1, 1 << full):
+            for h in holding:
+                if not code & ~h:
+                    break
+            else:
+                continue  # empty intersection: filter_from_base rejects these
+            closure, grown = 0, code
+            while grown != closure:  # pairwise intersections, to a fixed point
+                closure = grown
+                members = _members(closure)
+                for a in members:
+                    for b in members:
+                        # never empty: it holds the base's intersection
+                        grown |= 1 << ((a & b) - 1)
+            literal = 0
+            for m in bits(closure):
+                literal |= up[m]
+            base = _members(code)
             generated = filter_from_base(ground, base)
-            by_kernel = {s for s in range(1, full + 1) if generated.contains(s)}
+            by_kernel = sum(1 << (s - 1) for s in range(1, full + 1)
+                            if generated.contains(s))
             if literal != by_kernel:
                 return Verdict.fail((size, base),
                                     "generated filter disagrees with literal closure")
     return Verdict.ok(f"base generation matches literal closure up to size {max_size}")
-

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .verdict import InternalCheckError, Verdict
 
@@ -397,11 +397,23 @@ def matrix_magma(dims: Sequence[tuple[int, int]]) -> tuple[PartialMagma, tuple[s
     return build_pm(n, table), labels
 
 
+class RegularBuild(NamedTuple):
+    """A regular magma with the choices ``regular_builds`` made for it: the
+    units, the (dom, cod) pin of every element and, for every (x, y) with
+    dom x = cod y, the composite x.y."""
+
+    pm: PartialMagma
+    units: tuple[int, ...]
+    pins: tuple[tuple[int, int], ...]
+    composites: dict[tuple[int, int], int]
+
+
 @cache
-def regular_tables(n: int) -> tuple[PartialMagma, ...]:
-    """All regular partial magmas on n elements, built once per n, ordered
-    by the table read as a number in base n+1: cell (i, j) is the digit of
-    weight (n+1)^(i*n+j), undefined the digit 0 and element v the digit v+1.
+def regular_builds(n: int) -> tuple[RegularBuild, ...]:
+    """All regular partial magmas on n elements with their construction,
+    built once per n, ordered by the table read as a number in base n+1:
+    cell (i, j) is the digit of weight (n+1)^(i*n+j), undefined the digit 0
+    and element v the digit v+1.
 
     Each candidate is built as a category: a nonempty set of units, a
     (dom, cod) pair of units for every other element, and for each x, y
@@ -427,10 +439,18 @@ def regular_tables(n: int) -> tuple[PartialMagma, ...]:
                 for flat in product(*cells):
                     pm = PartialMagma(n, tuple(flat[i:i + n] for i in range(0, n * n, n)))
                     if classify(pm).regular:
-                        found.append(pm)
+                        found.append(RegularBuild(
+                            pm, us, tuple(pin[x] for x in range(n)),
+                            {(x, y): z for (x, y), z
+                             in zip(product(range(n), repeat=2), flat)
+                             if pin[x][0] == pin[y][1]}))
     # the digits, most significant first
-    return tuple(sorted(found, key=lambda pm: [-1 if v is None else v
-                                               for row in pm.table[::-1]
-                                               for v in row[::-1]]))
+    return tuple(sorted(found, key=lambda b: [-1 if v is None else v
+                                              for row in b.pm.table[::-1]
+                                              for v in row[::-1]]))
 
 
+@cache
+def regular_tables(n: int) -> tuple[PartialMagma, ...]:
+    """The magmas of ``regular_builds(n)``, in its order."""
+    return tuple(b.pm for b in regular_builds(n))

@@ -24,8 +24,8 @@ from .measure_algebra import (brute_force_liftings, enumerate_liftings,
                               sampled_lifting_oracle)
 from .measure_space import build_space
 from .partial_magma import (build_pm, classify, interchange_sweep,
-                            matrix_magma, regular_tables, single_unit_totality,
-                            square_pm, twin_pm)
+                            matrix_magma, regular_builds, regular_tables,
+                            single_unit_totality, square_pm, twin_pm)
 from .verdict import jsonable
 
 
@@ -163,7 +163,7 @@ def _check_single_unit_totality(seed: int) -> dict:
 def _check_cat_roundtrips(seed: int) -> dict:
     """Categories read from arrow magmas agree with a second, independent
     presentation: a named category with its shapes and its matrix magma, a
-    regular magma with the table rebuilt from dom, cod and composites."""
+    regular magma with the units, pins and composites it was built from."""
     for name, shapes in NAMED_SHAPES.items():
         # the pin rule: an (r, c) arrow after a (c, c2) arrow is the (r, c2) arrow
         index = {shape: i for i, shape in enumerate(shapes)}
@@ -180,15 +180,16 @@ def _check_cat_roundtrips(seed: int) -> dict:
             return {"pass": False, "witness": name}
     counts = {}
     for n in (1, 2, 3):
-        regs = regular_tables(n)
-        counts[str(n)] = len(regs)
-        for pm in regs:
-            cat = cat_from_rpm(pm)
-            rebuilt = tuple(tuple(cat.compose(x, y) if cat.dom[x] == cat.cod[y]
-                                  else None for y in cat.arrows)
-                            for x in cat.arrows)
-            if rebuilt != pm.table:
-                return {"pass": False, "witness": pm.table}
+        builds = regular_builds(n)
+        counts[str(n)] = len(builds)
+        for b in builds:
+            cat = cat_from_rpm(b.pm)
+            if (cat.objects != b.units
+                    or cat.dom != tuple(dom for dom, _ in b.pins)
+                    or cat.cod != tuple(cod for _, cod in b.pins)
+                    or any(cat.compose(x, y) != b.composites.get((x, y))
+                           for x in cat.arrows for y in cat.arrows)):
+                return {"pass": False, "witness": b.pm.table}
     return {"pass": True, "regular_counts": counts}
 
 

@@ -20,7 +20,8 @@ import liftlab.suite as suite
 import liftlab.yoneda_finite as yoneda_finite
 from liftlab.measure_algebra import SetTransform
 
-CACHED = (partial_magma.regular_tables, category_kernel._twin_pairs,
+CACHED = (partial_magma.regular_builds, partial_magma.regular_tables,
+          category_kernel._twin_pairs,
           yoneda_finite.all_functions, yoneda_finite.composite_indices,
           measure_space.averageable_sets)
 
@@ -136,3 +137,38 @@ def test_injected_fault_fails_the_check(monkeypatch, name):
     assert out["pass"] is False
     assert out["witness"] is not None
 
+
+def _lowest_kernel_bit_ignored(real, f, member):
+    k = f.kernel
+    if k & (k - 1):  # a kernel of two or more points loses its lowest one
+        f = filter_calculus.Filter(f.ground, k & (k - 1))
+    return real(f, member)
+
+
+def _whole_ground_maximal(real, f):
+    return real(f) or f.kernel == (1 << len(f.ground)) - 1
+
+
+@pytest.mark.parametrize("module, target, fault", [
+    (filter_calculus.Filter, "contains", _lowest_kernel_bit_ignored),
+    (filter_calculus, "is_ultrafilter", _whole_ground_maximal)])
+def test_principality_half_reads_the_program(monkeypatch, module, target, fault):
+    # the literal filter {0b11} on a two-element ground is the first whose
+    # up-set or maximality either fault gets wrong
+    wrap(monkeypatch, module, target, fault)
+    out = suite.run_check("filter_principality")
+    assert out["pass"] is False
+    assert out["principality"]["holds"] is False
+    assert out["witness"] == (2, [0b11])
+
+
+def test_regular_half_sees_the_object_list(monkeypatch):
+    # units listed in reverse change only the order of the objects, so
+    # the first regular magma with two units is the witness
+    wrap(monkeypatch, category_kernel, "classify", _units_reversed)
+    monkeypatch.setattr(suite, "NAMED_SHAPES", {})
+    first = next(pm.table for n in (1, 2, 3) for pm in partial_magma.regular_tables(n)
+                 if len(partial_magma.units(pm)) > 1)
+    out = suite.run_check("cat_rpm_roundtrips")
+    assert out["pass"] is False
+    assert out["witness"] == first

@@ -523,6 +523,15 @@ class TestReport:
         assert [c["name"] for c in result["checks"]] == ["one", "two", "three"]
         assert sizes == [min(parallel, 3)]
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_parallel_below_one_is_a_usage_error(self, runner, value):
+        result = runner.invoke(main, ["report", "--parallel", value])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1
+        assert "'--parallel'" in errors[0] and f"{value} is not in the range" in errors[0]
+
     def test_parallel_agrees_with_serial(self, runner):
         serial = runner.invoke(main, ["report", "--quick", "--format", "json"])
         fanned = runner.invoke(main, ["report", "--quick", "--format", "json",

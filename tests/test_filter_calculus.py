@@ -4,13 +4,16 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import liftlab.filter_calculus as filter_calculus
 from liftlab.filter_calculus import (Filter, NotDirectedError,
+                                     _literal_filters,
                                      base_generation_oracle, direct_image,
                                      filter_from_base, is_directed,
                                      is_ultrafilter, limit_along,
                                      principal_ultrafilter, principality_oracle,
                                      tail_filter, trivial_filter,
                                      ultrafilter_refine)
+from liftlab.verdict import Verdict
 
 
 class TestFilterConstruction:
@@ -196,6 +199,95 @@ class TestLimBeta:
                         assert limit_along(pushed, lambda q: q) == phi[y]
 
 
+# Reference oracles that build one list and one set per family, the
+# direct reading of the axioms; the family-code oracles are held to them.
+
+def reference_literal_filters(size):
+    full = (1 << size) - 1
+    nonempty = list(range(1, full + 1))
+    filters = []
+    for code in range(1, 1 << len(nonempty)):
+        members = [nonempty[i] for i in range(len(nonempty)) if (code >> i) & 1]
+        mset = set(members)
+        ok = True
+        for a in members:
+            for b in members:
+                if a & b not in mset:
+                    ok = False
+                    break
+            if not ok:
+                break
+            for s in nonempty:
+                if s & a == a and s not in mset:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            inter = full
+            for m in members:
+                inter &= m
+            filters.append((frozenset(mset), inter))
+    return filters
+
+
+def reference_principality_oracle(max_size=4):
+    for size in range(1, max_size + 1):
+        full = (1 << size) - 1
+        filters = reference_literal_filters(size)
+        for members, kernel in filters:
+            upset = frozenset(s for s in range(1, full + 1) if s & kernel == kernel)
+            if members != upset:
+                return Verdict.fail((size, sorted(members)),
+                                    "literal filter is not the up-set of its kernel")
+            maximal = not any(members < other for other, _ in filters)
+            if maximal != (bin(kernel).count("1") == 1):
+                return Verdict.fail((size, sorted(members)),
+                                    "maximality disagrees with singleton kernel")
+    return Verdict.ok(f"all literal filters principal on grounds up to size {max_size}")
+
+
+def reference_base_generation_oracle(max_size=4):
+    for size in range(1, max_size + 1):
+        ground = tuple(range(size))
+        full = (1 << size) - 1
+        nonempty = list(range(1, full + 1))
+        for code in range(1, 1 << len(nonempty)):
+            base = [nonempty[i] for i in range(len(nonempty)) if (code >> i) & 1]
+            inter = full
+            for b in base:
+                inter &= b
+            if inter == 0:
+                continue
+            closure = set(base)
+            changed = True
+            while changed:
+                changed = False
+                for a in list(closure):
+                    for b in list(closure):
+                        if a & b not in closure:
+                            closure.add(a & b)
+                            changed = True
+            literal = {s for s in range(1, full + 1)
+                       if any(s & m == m for m in closure)}
+            generated = filter_calculus.filter_from_base(ground, base)
+            by_kernel = {s for s in range(1, full + 1) if generated.contains(s)}
+            if literal != by_kernel:
+                return Verdict.fail((size, base),
+                                    "generated filter disagrees with literal closure")
+    return Verdict.ok(f"base generation matches literal closure up to size {max_size}")
+
+
+def _whole_ground_kernel(real, ground, base):
+    return trivial_filter(ground)
+
+
+def _lowest_kernel_bit_dropped(real, ground, base):
+    f = real(ground, base)
+    k = f.kernel
+    return Filter(f.ground, k & (k - 1)) if k & (k - 1) else f
+
+
 class TestBruteForceOracles:
     def test_principality_small(self):
         assert principality_oracle(3)
@@ -203,10 +295,25 @@ class TestBruteForceOracles:
     def test_base_generation_small(self):
         assert base_generation_oracle(3)
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_literal_filters_match_the_reference(self, size):
+        assert _literal_filters(size) == reference_literal_filters(size)
+
+    @pytest.mark.parametrize("fault", [None, _whole_ground_kernel,
+                                       _lowest_kernel_bit_dropped])
+    def test_oracles_match_the_references(self, monkeypatch, fault):
+        if fault is not None:
+            real = filter_calculus.filter_from_base
+            monkeypatch.setattr(filter_calculus, "filter_from_base",
+                                lambda *args: fault(real, *args))
+        assert principality_oracle(4) == reference_principality_oracle(4)
+        got, want = base_generation_oracle(4), reference_base_generation_oracle(4)
+        assert got == want
+        assert bool(got) == (fault is None)
+
     def test_delta_bijects_onto_ultrafilters(self):
         # on small grounds the literal maximal filters are exactly the
         # principal ultrafilters
-        from liftlab.filter_calculus import _literal_filters
         for size in (1, 2, 3):
             filters = _literal_filters(size)
             singles = [kernel for _, kernel in filters

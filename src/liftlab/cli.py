@@ -5,11 +5,13 @@ with the same input and seed are byte-identical on stdout.  Exit codes:
 0 all checks pass, 1 a check failed (witness in the report), 2 bad input
 (including a search refused as too large), 3 internal error (a theorem
 failed on concrete data, so the code is wrong).  Every command runs behind
-one exception boundary, ``_command``; exits 2 and 3 write one stderr line.
+one exception boundary, ``_command``; exits 2 and 3 write one stderr line,
+and so do click's usage errors (a bad option value, an unknown command).
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import sys
@@ -148,7 +150,7 @@ def seed_option(fn):
 
 def _command(group, name: str, text=_text_lines):
     """Register the decorated body as ``group``'s command ``name``, behind
-    the CLI's only exception boundary.
+    the CLI's exception boundary.
 
     The body validates its input and computes, then returns ``(report,
     ok)``.  The boundary adds ``--format``, prints the report (``text``
@@ -177,7 +179,31 @@ def _command(group, name: str, text=_text_lines):
     return register
 
 
-@click.group()
+@contextlib.contextmanager
+def _usage_errors_on_one_line():
+    try:
+        yield
+    except click.exceptions.NoArgsIsHelpError:
+        raise
+    except click.UsageError as exc:
+        click.echo(f"input error: {' '.join(exc.format_message().splitlines())}", err=True)
+        sys.exit(EXIT_INPUT)
+
+
+class _Main(click.Group):
+    """The top-level group: any usage error in the command line exits 2
+    with one ``input error`` line; a bare group still prints its help."""
+
+    def make_context(self, *args, **kwargs):
+        with _usage_errors_on_one_line():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _usage_errors_on_one_line():
+            return super().invoke(ctx)
+
+
+@click.group(cls=_Main)
 def main():
     """Exhaustive finite-scale verification of measure-algebra liftings,
     filter limit operators, and partial-magma categories."""

@@ -73,10 +73,6 @@ class SetTransform:
         return self.table[self.space.check_set(q)]
 
 
-def identity_transform(space: MeasureSpace) -> SetTransform:
-    return SetTransform(space, tuple(range(space.full_mask + 1)))
-
-
 def _check_pms(t: SetTransform) -> Verdict:
     # Every subset is measurable here; the table validation is the check.
     return Verdict.ok("powerset sigma-algebra: images are measurable by construction")

@@ -104,14 +104,6 @@ def averageable_sets(space: MeasureSpace) -> tuple[int, ...]:
     return tuple(q for q in range(1, space.full_mask + 1) if q & space.pos_mask)
 
 
-def conditional_prob(space: MeasureSpace, q: int, qp: int) -> Fraction:
-    """Measure of ``q`` relative to an averageable set ``qp``."""
-    denom = measure(space, qp)
-    if denom == 0:
-        raise ValueError(f"set {qp:#b} is not averageable")
-    return measure(space, q & qp) / denom
-
-
 @dataclass(frozen=True)
 class PartialFn:
     """A rational-valued function defined on a subset of the atoms.
@@ -147,17 +139,6 @@ class PartialFn:
     def defined_ae(self) -> bool:
         """True when the undefined set is null."""
         return is_null(self.space, self.space.full_mask ^ self.domain)
-
-
-def partial_fn(space: MeasureSpace, mapping: dict[int, object]) -> PartialFn:
-    domain = 0
-    values: list[Fraction | None] = [None] * space.n
-    for atom, v in mapping.items():
-        if not 0 <= atom < space.n:
-            raise ValueError(f"atom {atom} out of range")
-        domain |= 1 << atom
-        values[atom] = as_fraction(v)
-    return PartialFn(space, domain, tuple(values))
 
 
 def total_fn(space: MeasureSpace, values: Sequence) -> PartialFn:

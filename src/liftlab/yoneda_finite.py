@@ -3,23 +3,21 @@
 For a fixed ground Z and point set X, a candidate assigns to every probe
 space D a map from functions Z -> D to functions X -> D.  The candidates
 that are natural in D correspond exactly to pointwise-ultrafilter kernels
-on Z.  Small configurations are settled by raw table enumeration; larger
-ones use the kernel-indexed enumeration, which the raw oracle validates
-wherever both are feasible.
+on Z.  The natural candidates are found by one search that uses only the
+naturality squares: each entry it sets forces the entries its probe maps
+reach, and every complete assignment is checked by ``is_natural``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache, lru_cache
 from itertools import product
 from operator import itemgetter
 
 from .filter_calculus import (Filter, direct_image, is_ultrafilter,
                               limit_along, principal_ultrafilter)
-from .verdict import CapacityError, InternalCheckError, Verdict
-
-RAW_CAP = 500_000
+from .verdict import InternalCheckError, Verdict
 
 
 @lru_cache(maxsize=None)
@@ -139,8 +137,7 @@ def tau_from_kernel(filters, probes: ProbeFamily) -> TauCandidate:
 
     The limit of an input along the principal ultrafilter at z is the
     input's value at z, so output digit j copies the input digit at the
-    point of the j-th filter.  The construction is natural, and that is
-    re-checked here.
+    point of the j-th filter.
     """
     filters = tuple(filters)
     if not filters:
@@ -163,10 +160,7 @@ def tau_from_kernel(filters, probes: ProbeFamily) -> TauCandidate:
             weight = sum(s ** (x_count - 1 - j) for j, p in enumerate(points) if p == z)
             row = [i + v * weight for i in row for v in range(s)]
         rows[s] = tuple(row)
-    tau = TauCandidate(ground, x_count, probes, rows)
-    if not is_natural(tau):
-        raise InternalCheckError("kernel-induced assignment is not natural")
-    return tau
+    return TauCandidate(ground, x_count, probes, rows)
 
 
 def kernel_from_tau(tau: TauCandidate) -> tuple[Filter, ...]:
@@ -185,56 +179,73 @@ def kernel_from_tau(tau: TauCandidate) -> tuple[Filter, ...]:
                  for i in assignment)
 
 
-def raw_table_space(z_len: int, x_count: int, probes: ProbeFamily) -> int:
-    total = 1
-    for s in probes.sizes:
-        total *= (s ** x_count) ** (s ** z_len)
-    return total
+def _search_order(z_len: int, sizes) -> list[tuple[int, int]]:
+    """The entries (s, i) in the order the search branches on them: most
+    distinct values in the input i first, ties by (s, i)."""
+    return sorted(((s, i) for s in sizes for i in range(s ** z_len)),
+                  key=lambda e: (-len(set(all_functions(z_len, e[0])[e[1]])), e))
 
 
-def enumerate_natural_raw(z_ground, x_count: int,
-                          probes: ProbeFamily) -> list[TauCandidate]:
-    """Brute force: every raw table in lexicographic order, filtered by
-    naturality."""
-    z_ground = tuple(z_ground)
-    z_len = len(z_ground)
-    if raw_table_space(z_len, x_count, probes) > RAW_CAP:
-        raise CapacityError("raw table space exceeds the enumeration cap")
-    sizes = probes.sizes
-    out = []
-    for combo in product(*(product(range(s ** x_count), repeat=s ** z_len)
-                           for s in sizes)):
-        tau = TauCandidate(z_ground, x_count, probes, dict(zip(sizes, combo)))
-        if is_natural(tau):
-            out.append(tau)
-    return out
+def _forcings(z_len: int, x_count: int, sizes) -> dict:
+    """Per size s, one (t, on_z, on_x) per probe map phi: s -> t: setting
+    ``rows[s][i]`` to v forces ``rows[t][on_z[i]]`` to ``on_x[v]``."""
+    return {s: [(t, on_z, on_x) for t in sizes
+                for on_z, on_x in zip(composite_indices(z_len, s, t),
+                                      composite_indices(x_count, s, t))]
+            for s in sizes}
 
 
-def enumerate_natural(z_ground, x_count: int, probes: ProbeFamily,
-                      induced=None) -> tuple[list[TauCandidate], str]:
-    """All natural candidates, by raw enumeration when feasible, else by
-    the kernel-indexed construction (distinctness re-checked).
+def enumerate_natural(z_ground, x_count: int,
+                      probes: ProbeFamily) -> tuple[list[TauCandidate], int]:
+    """All natural candidates, and the number of search nodes visited.
 
-    ``induced`` maps a kernel to its candidate; it defaults to
-    ``tau_from_kernel`` over ``probes``.
+    A depth-first search over the entries ``rows[s][i]``, in
+    ``_search_order``.  A node sets one entry to one value, which forces,
+    through each probe map phi: s -> t (the identity included), the entry
+    at phi∘(input i) to phi∘(the value); the first clash cuts the branch.
+    The probe maps are closed under composition, so an entry forced here
+    would force nothing new in turn: one pass over the maps propagates
+    everything.  A complete assignment is kept only if ``is_natural``
+    holds.
     """
     z_ground = tuple(z_ground)
     z_len = len(z_ground)
-    if raw_table_space(z_len, x_count, probes) <= RAW_CAP:
-        return enumerate_natural_raw(z_ground, x_count, probes), "raw"
-    if induced is None:
-        def induced(filters):
-            return tau_from_kernel(filters, probes)
-    out = []
-    for assignment in product(range(z_len), repeat=x_count):
-        filters = tuple(principal_ultrafilter(z_ground, z_ground[i])
-                        for i in assignment)
-        out.append(induced(filters))
-    for i, a in enumerate(out):
-        for b in out[i + 1:]:
-            if a.rows == b.rows:
-                raise InternalCheckError("distinct kernels induced equal candidates")
-    return out, "structured"
+    sizes = probes.sizes
+    maps = _forcings(z_len, x_count, sizes)
+    order = _search_order(z_len, sizes)
+    candidates = []
+    nodes = 0
+
+    def force(rows, unset, s, i, v):
+        """Set what ``rows[s][i] = v`` forces; how many entries are left
+        unset, or None on a clash."""
+        for t, on_z, on_x in maps[s]:
+            row, j, w = rows[t], on_z[i], on_x[v]
+            if row[j] is None:
+                row[j] = w
+                unset -= 1
+            elif row[j] != w:
+                return None
+        return unset
+
+    def search(rows, unset):
+        nonlocal nodes
+        if not unset:
+            tau = TauCandidate(z_ground, x_count, probes,
+                               {s: tuple(row) for s, row in rows.items()})
+            if is_natural(tau):
+                candidates.append(tau)
+            return
+        s, i = next((s, i) for s, i in order if rows[s][i] is None)
+        for v in range(s ** x_count):
+            nodes += 1
+            trial = {t: list(row) for t, row in rows.items()}
+            left = force(trial, unset, s, i, v)
+            if left is not None:
+                search(trial, left)
+
+    search({s: [None] * s ** z_len for s in sizes}, sum(s ** z_len for s in sizes))
+    return candidates, nodes
 
 
 @dataclass(frozen=True)
@@ -242,7 +253,7 @@ class YonedaReport:
     z_size: int
     x_size: int
     probe_sizes: tuple[int, ...]
-    mode: str
+    search_nodes: int
     candidate_count: int
     expected_count: int
     bijection_ok: bool
@@ -256,16 +267,8 @@ class YonedaReport:
                 and self.roundtrip_kernels_ok)
 
     def to_dict(self) -> dict:
-        return {
-            "z_size": self.z_size, "x_size": self.x_size,
-            "probe_sizes": list(self.probe_sizes), "mode": self.mode,
-            "candidate_count": self.candidate_count,
-            "expected_count": self.expected_count,
-            "bijection_ok": self.bijection_ok,
-            "roundtrip_candidates_ok": self.roundtrip_candidates_ok,
-            "roundtrip_kernels_ok": self.roundtrip_kernels_ok,
-            "all_pass": self.all_pass,
-        }
+        return {**asdict(self), "probe_sizes": list(self.probe_sizes),
+                "all_pass": self.all_pass}
 
 
 def yoneda_roundtrip(z_size: int, x_size: int) -> YonedaReport:
@@ -273,38 +276,30 @@ def yoneda_roundtrip(z_size: int, x_size: int) -> YonedaReport:
 
     The candidate count must be |Z|^|X|; extraction must biject onto the
     pointwise-ultrafilter kernels; and the two composites must be
-    identities.  Each kernel's candidate is built once per call and shared
-    by the enumeration and both round trips.
-
-    In structured mode the candidates are built from every kernel, so the
-    count is |Z|^|X| by construction, and ``bijection_ok`` and
-    ``roundtrip_candidates_ok`` follow from ``roundtrip_kernels_ok``
-    (the construction is deterministic): only ``roundtrip_kernels_ok`` can
-    fail on its own there.  In raw mode all four are independent.
+    identities.  The candidates come from ``enumerate_natural``, which
+    knows nothing of kernels, so each check can fail on its own.  Each
+    kernel's candidate is built once per call and shared by both round
+    trips; ``roundtrip_candidates_ok`` compares it with a search candidate
+    that passed ``is_natural``, so it also catches a kernel construction
+    that is not natural.
     """
     z_ground = tuple(range(z_size))
     probes = default_probes(z_size)
     induced = cache(lambda filters: tau_from_kernel(filters, probes))
-    candidates, mode = enumerate_natural(z_ground, x_size, probes, induced)
+    candidates, search_nodes = enumerate_natural(z_ground, x_size, probes)
     expected = z_size ** x_size
 
-    extracted = []
-    for tau in candidates:
-        kernel = kernel_from_tau(tau)
-        extracted.append(tuple(f.kernel_elements()[0] for f in kernel))
+    extracted = sorted(tuple(f.kernel_elements()[0] for f in kernel_from_tau(tau))
+                       for tau in candidates)
     every_kernel = sorted(product(z_ground, repeat=x_size))
-    bijection_ok = sorted(extracted) == every_kernel
-
+    bijection_ok = extracted == every_kernel
     roundtrip_candidates_ok = all(
         induced(kernel_from_tau(tau)).rows == tau.rows for tau in candidates)
-    roundtrip_kernels_ok = True
-    for points in every_kernel:
-        filters = tuple(principal_ultrafilter(z_ground, p) for p in points)
-        if kernel_from_tau(induced(filters)) != filters:
-            roundtrip_kernels_ok = False
-            break
-
-    return YonedaReport(z_size, x_size, probes.sizes, mode, len(candidates),
+    kernels = (tuple(principal_ultrafilter(z_ground, p) for p in points)
+               for points in every_kernel)
+    roundtrip_kernels_ok = all(kernel_from_tau(induced(filters)) == filters
+                               for filters in kernels)
+    return YonedaReport(z_size, x_size, probes.sizes, search_nodes, len(candidates),
                         expected, bijection_ok, roundtrip_candidates_ok,
                         roundtrip_kernels_ok)
 

@@ -163,6 +163,31 @@ class TestExceptionBoundary:
         assert result.stderr == "internal error: chain rule broken at (0, 1)\n"
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("args, message", [
+        (["report", "--parallel", "0"], "'--parallel': 0 is not in the range x>=1."),
+        (["report", "--format", "xml"], "'--format': 'xml' is not one of 'json', 'text'."),
+        (["yoneda", "roundtrip", "--z-size", "abc"], "'--z-size': 'abc' is not a valid integer."),
+    ], ids=["parallel_zero", "format_xml", "z_size_abc"])
+    def test_usage_error_exits_2_with_one_line(self, runner, args, message):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stderr == f"input error: Invalid value for {message}\n"
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("args", [["--help"], ["report", "--help"],
+                                      ["yoneda", "roundtrip", "--help"]])
+    def test_help_still_prints_click_help(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert result.stdout.startswith("Usage: ") and "Options:" in result.stdout
+        assert result.stderr == ""
+
+    def test_a_bare_group_still_prints_its_help(self, runner):
+        result = runner.invoke(main, ["yoneda"])
+        assert result.exit_code == 2
+        assert "Usage: " in result.output and "roundtrip" in result.output
+        assert "input error" not in result.output
+
     def test_readme_size_cap_example_exits_2(self, runner):
         result = runner.invoke(main, ["yoneda", "roundtrip", "--z-size", "5",
                                       "--x-size", "1"])
@@ -456,7 +481,7 @@ class TestYonedaCommand:
                                       "--x-size", "1", "--format", "json"])
         assert result.exit_code == 0
         report = json.loads(result.stdout)
-        assert report["candidate_count"] == 2 and report["mode"] == "raw"
+        assert report["candidate_count"] == report["search_nodes"] == 2
 
     def test_largest_supported_sizes(self, runner):
         started = time.monotonic()
@@ -528,9 +553,10 @@ class TestReport:
         result = runner.invoke(main, ["report", "--parallel", value])
         assert result.exit_code == 2
         assert result.stdout == ""
-        errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
-        assert len(errors) == 1
-        assert "'--parallel'" in errors[0] and f"{value} is not in the range" in errors[0]
+        assert result.stderr.startswith("input error: ")
+        assert result.stderr.count("\n") == 1
+        assert "'--parallel'" in result.stderr
+        assert f"{value} is not in the range" in result.stderr
 
     def test_parallel_agrees_with_serial(self, runner):
         serial = runner.invoke(main, ["report", "--quick", "--format", "json"])

@@ -8,7 +8,7 @@ from liftlab.measure_algebra import (BooleanHom, SetTransform,
                                      TransformProperty, algebra_classes,
                                      brute_force_liftings, check_property,
                                      class_complement, enumerate_liftings,
-                                     identity_transform, implication_suite,
+                                     implication_suite,
                                      is_boolean_homomorphism, is_lifting,
                                      is_lower_density, is_right_inverse,
                                      lifting_from_retraction,
@@ -19,6 +19,10 @@ from liftlab.measure_algebra import (BooleanHom, SetTransform,
 from liftlab.measure_space import ae_equal, build_space
 
 A, B, N = 1, 2, 4
+
+
+def identity_transform(space):
+    return SetTransform(space, tuple(range(space.full_mask + 1)))
 
 LAMBDA_A = (0, 5, 2, 7, 0, 5, 2, 7)   # null atom follows atom a
 LAMBDA_B = (0, 1, 6, 7, 0, 1, 6, 7)   # null atom follows atom b

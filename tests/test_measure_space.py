@@ -5,11 +5,32 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liftlab.measure_space import (PartialFn, ae_equal, averageable_sets,
-                                   bits, build_space, conditional_prob,
-                                   indicator, measure, partial_fn)
+from liftlab.measure_space import (PartialFn, ae_equal, as_fraction,
+                                   averageable_sets, bits, build_space,
+                                   indicator, measure)
 
 A, B, N = 1, 2, 4  # atom masks in s1
+
+
+def conditional_prob(space, q, qp):
+    """Measure of ``q`` relative to an averageable set ``qp``."""
+    denom = measure(space, qp)
+    if denom == 0:
+        raise ValueError(f"set {qp:#b} is not averageable")
+    return measure(space, q & qp) / denom
+
+
+def partial_fn(space, mapping):
+    """The function with the given values at the given atoms, undefined
+    elsewhere."""
+    domain = 0
+    values = [None] * space.n
+    for atom, v in mapping.items():
+        if not 0 <= atom < space.n:
+            raise ValueError(f"atom {atom} out of range")
+        domain |= 1 << atom
+        values[atom] = as_fraction(v)
+    return PartialFn(space, domain, tuple(values))
 
 
 def all_sets(space):

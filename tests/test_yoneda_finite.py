@@ -14,10 +14,9 @@ from liftlab.yoneda_finite import (ProbeFamily, TauCandidate,
                                    adjunction_bijection, all_functions,
                                    beta_space, compose,
                                    composite_indices, default_probes,
-                                   enumerate_natural, enumerate_natural_raw,
-                                   is_natural, kernel_from_tau,
+                                   enumerate_natural, is_natural, kernel_from_tau,
                                    tau_from_kernel, yoneda_roundtrip)
-from liftlab.verdict import Verdict
+from liftlab.verdict import CapacityError, Verdict
 
 LAMBDA_A = (0, 5, 2, 7, 0, 5, 2, 7)
 
@@ -58,6 +57,40 @@ def _raw_candidates(z_len, x_count):
         for (s, fn), out in zip(keys, combo):
             tables[s][fn] = out
         yield _from_tables(range(z_len), x_count, probes, tables)
+
+
+RAW_CAP = 500_000
+
+
+def raw_table_space(z_len, x_count, probes):
+    total = 1
+    for s in probes.sizes:
+        total *= (s ** x_count) ** (s ** z_len)
+    return total
+
+
+def enumerate_natural_raw(z_ground, x_count, probes):
+    """Brute force, the oracle of the search: every raw table in
+    lexicographic order, filtered by naturality."""
+    z_ground = tuple(z_ground)
+    if raw_table_space(len(z_ground), x_count, probes) > RAW_CAP:
+        raise CapacityError("raw table space exceeds the enumeration cap")
+    sizes = probes.sizes
+    out = []
+    for combo in product(*(product(range(s ** x_count), repeat=s ** len(z_ground))
+                           for s in sizes)):
+        tau = TauCandidate(z_ground, x_count, probes, dict(zip(sizes, combo)))
+        if is_natural(tau):
+            out.append(tau)
+    return out
+
+
+def _row_set(candidates):
+    return {tuple(c.rows.items()) for c in candidates}
+
+
+def _plain_order(z_len, sizes):
+    return [(s, i) for s in sizes for i in range(s ** z_len)]
 
 
 def _limit_value(filters, fn):
@@ -177,7 +210,7 @@ class TestKernelFromTau:
     def test_non_natural_candidate_fails_roundtrip(self):
         z = (0, 1)
         probes = default_probes(2)
-        naturals = enumerate_natural_raw(z, 1, probes)
+        naturals, _ = enumerate_natural(z, 1, probes)
         # corrupt one non-tautological entry; extraction still runs
         corrupted = _with_entry(naturals[0], 2, (0, 0), (1,))
         assert not is_natural(corrupted)
@@ -201,21 +234,47 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="cap"):
             enumerate_natural_raw((0, 1, 2), 1, default_probes(3))
 
-    def test_structured_matches_raw_where_both_run(self):
-        for z_size, x_size in ((1, 1), (1, 2), (2, 1), (2, 2)):
-            z = tuple(range(z_size))
-            probes = default_probes(z_size)
-            raw = enumerate_natural_raw(z, x_size, probes)
-            structured = [tau_from_kernel(delta_kernel(z, pts), probes)
-                          for pts in product(z, repeat=x_size)]
-            assert ({tuple(c.rows.items()) for c in raw}
-                    == {tuple(c.rows.items()) for c in structured})
+    @pytest.mark.parametrize("z_len,x_count", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_search_matches_raw_where_raw_runs(self, z_len, x_count):
+        z = tuple(range(z_len))
+        probes = default_probes(z_len)
+        candidates, _ = enumerate_natural(z, x_count, probes)
+        assert len(candidates) == len(_row_set(candidates))
+        assert _row_set(candidates) == _row_set(enumerate_natural_raw(z, x_count, probes))
 
     def test_enumerate_picks_the_feasible_mode(self):
-        _, mode = enumerate_natural((0, 1), 1, default_probes(2))
-        assert mode == "raw"
-        _, mode = enumerate_natural((0, 1, 2), 1, default_probes(3))
-        assert mode == "structured"
+        # one search, feasible on both sides of the raw cap that once chose
+        # between the brute force and the per-kernel construction
+        for z_len, x_count in ((2, 1), (3, 1)):
+            z = tuple(range(z_len))
+            probes = default_probes(z_len)
+            within = raw_table_space(z_len, x_count, probes) <= RAW_CAP
+            assert within == (z_len == 2)
+            candidates, nodes = enumerate_natural(z, x_count, probes)
+            assert len(candidates) == nodes == z_len ** x_count
+            assert all(is_natural(c) for c in candidates)
+
+    @pytest.mark.parametrize("z_len,x_count,plain_nodes", [(2, 2, 5), (3, 1, 39)])
+    def test_plain_input_order_finds_the_same_candidates(self, monkeypatch, z_len,
+                                                         x_count, plain_nodes):
+        # the order changes the cost only.  A clash-free complete assignment
+        # satisfies every square, so each leaf the search reaches is natural
+        z = tuple(range(z_len))
+        probes = default_probes(z_len)
+        ordered, _ = enumerate_natural(z, x_count, probes)
+        verdicts = []
+        original = yf.is_natural
+
+        def recorded(tau):
+            verdicts.append(original(tau))
+            return verdicts[-1]
+
+        monkeypatch.setattr(yf, "is_natural", recorded)
+        monkeypatch.setattr(yf, "_search_order", _plain_order)
+        plain, nodes = enumerate_natural(z, x_count, probes)
+        assert nodes == plain_nodes
+        assert len(verdicts) == len(plain) and all(verdicts)
+        assert _row_set(plain) == _row_set(ordered)
 
 
 class TestNaturalityOracle:
@@ -286,16 +345,16 @@ class TestNaturalityOracle:
 
 
 class TestYonedaRoundtrip:
-    @pytest.mark.parametrize("z_size,x_size", [(1, 1), (1, 2), (2, 1), (2, 2),
-                                               (3, 1), (3, 2)])
+    @pytest.mark.parametrize("z_size,x_size", [(z, x) for z in (1, 2, 3, 4)
+                                               for x in (1, 2, 3)])
     def test_count_and_composites(self, z_size, x_size):
+        # one search node per candidate at every CLI size
         report = yoneda_roundtrip(z_size, x_size)
-        assert report.candidate_count == z_size ** x_size
+        assert report.candidate_count == report.search_nodes == z_size ** x_size
         assert report.all_pass
 
-    @pytest.mark.parametrize("z_size,x_size,mode", [(2, 2, "raw"), (3, 2, "structured")])
-    def test_each_kernel_builds_its_candidate_once(self, monkeypatch, z_size, x_size,
-                                                   mode):
+    @pytest.mark.parametrize("z_size,x_size", [(2, 2), (3, 2)])
+    def test_each_kernel_builds_its_candidate_once(self, monkeypatch, z_size, x_size):
         built = []
         original = yf.tau_from_kernel
 
@@ -305,13 +364,12 @@ class TestYonedaRoundtrip:
 
         monkeypatch.setattr(yf, "tau_from_kernel", counted)
         report = yoneda_roundtrip(z_size, x_size)
-        assert report.mode == mode and report.all_pass
+        assert report.all_pass
         assert len(built) == len(set(built)) == z_size ** x_size
 
-    @pytest.mark.parametrize("z_size,x_size,mode", [(2, 2, "raw"), (3, 2, "structured"),
-                                                    (4, 1, "structured")])
+    @pytest.mark.parametrize("z_size,x_size", [(2, 2), (3, 2), (4, 1)])
     def test_off_by_one_extraction_fails_the_kernel_roundtrip(self, monkeypatch,
-                                                              z_size, x_size, mode):
+                                                              z_size, x_size):
         original = yf.kernel_from_tau
 
         def off_by_one(tau):
@@ -322,8 +380,67 @@ class TestYonedaRoundtrip:
 
         monkeypatch.setattr(yf, "kernel_from_tau", off_by_one)
         report = yoneda_roundtrip(z_size, x_size)
-        assert report.mode == mode
         assert report.roundtrip_kernels_ok is False
+        assert report.roundtrip_candidates_ok is False
+        assert not report.all_pass
+
+
+class TestSearchFaults:
+    """Each fault in the search or in what the report compares it with
+    fails ``yoneda_roundtrip`` at |Z| = 3."""
+
+    @pytest.mark.parametrize("x_size", [1, 2])
+    def test_one_forced_value_off_by_one(self, monkeypatch, x_size):
+        original = yf._forcings
+
+        def off_by_one(z_len, x_count, sizes):
+            maps = original(z_len, x_count, sizes)
+            # the last probe map out of size |Z|: the constant onto its last point
+            t, on_z, on_x = maps[z_len][-1]
+            bumped = ((on_x[0] + 1) % t ** x_count,) + on_x[1:]
+            maps[z_len][-1] = (t, on_z, bumped)
+            return maps
+
+        monkeypatch.setattr(yf, "_forcings", off_by_one)
+        report = yoneda_roundtrip(3, x_size)
+        assert report.candidate_count == 3 ** x_size - 1
+        assert report.bijection_ok is False
+        assert not report.all_pass
+
+    @pytest.mark.parametrize("x_size", [1, 2])
+    def test_is_natural_rejecting_one_valid_candidate(self, monkeypatch, x_size):
+        original = yf.is_natural
+        calls = []
+
+        def rejects_the_first(tau):
+            calls.append(tau)
+            if len(calls) == 1:
+                return Verdict.fail(None, "rejected")
+            return original(tau)
+
+        monkeypatch.setattr(yf, "is_natural", rejects_the_first)
+        report = yoneda_roundtrip(3, x_size)
+        assert original(calls[0])
+        assert report.candidate_count == 3 ** x_size - 1
+        assert report.bijection_ok is False
+        assert not report.all_pass
+
+    @pytest.mark.parametrize("x_size", [1, 2])
+    def test_non_natural_kernel_candidate_fails_roundtrip(self, monkeypatch, x_size):
+        original = yf.tau_from_kernel
+
+        def corrupted(filters, probes):
+            tau = original(filters, probes)
+            out = tau.value(2, (0, 0, 0))
+            return _with_entry(tau, 2, (0, 0, 0), tuple(1 - v for v in out))
+
+        monkeypatch.setattr(yf, "tau_from_kernel", corrupted)
+        z = (0, 1, 2)
+        assert not is_natural(corrupted(delta_kernel(z, (0,) * x_size),
+                                        default_probes(3)))
+        report = yoneda_roundtrip(3, x_size)
+        assert report.candidate_count == 3 ** x_size and report.bijection_ok
+        assert report.roundtrip_kernels_ok
         assert report.roundtrip_candidates_ok is False
         assert not report.all_pass
 

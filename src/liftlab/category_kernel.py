@@ -319,10 +319,8 @@ def validate_nat_trans(tau: NatTrans) -> Verdict:
 
 def nat_from_hom(alpha: NatHom) -> NatTrans:
     """Components of an arrow-indexed transformation: its value at each
-    identity arrow collapses to a repeated pair."""
-    v = validate_nat_hom(alpha)
-    if not v:
-        raise ValueError(f"invalid transformation: {v.reason} (witness {v.witness})")
+    identity arrow collapses to a repeated pair.  ``alpha`` must pass
+    ``validate_nat_hom``, which its caller decides; only the output is checked."""
     c = alpha.source.source
     comps = []
     for u in c.objects:
@@ -338,10 +336,8 @@ def nat_from_hom(alpha: NatHom) -> NatTrans:
 
 def hom_from_nat(tau: NatTrans) -> NatHom:
     """Arrow-indexed encoding of components: pair the component at the
-    domain with the component at the codomain."""
-    v = validate_nat_trans(tau)
-    if not v:
-        raise ValueError(f"not natural: {v.reason} (witness {v.witness})")
+    domain with the component at the codomain.  ``tau`` must pass
+    ``validate_nat_trans``, which its caller decides; only the output is checked."""
     c = tau.source.source
     assignment = tuple((tau.component(c.dom[x]), tau.component(c.cod[x]))
                        for x in c.arrows)

@@ -304,7 +304,7 @@ def pm_classify(input_path, max_elems):
               "classification": c.to_dict()}
     ok = True
     if c.regular:
-        v = single_unit_totality(magma)
+        v = single_unit_totality(c)
         report["single_unit_totality"] = v.to_dict()
         ok = bool(v)
     report["status"] = "pass" if ok else "fail"

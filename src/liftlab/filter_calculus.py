@@ -24,15 +24,6 @@ from .measure_space import bits
 from .verdict import InternalCheckError, Verdict
 
 
-class NotDirectedError(ValueError):
-    """A family handed to tail_filter has a pair with no lower bound."""
-
-    def __init__(self, pair):
-        self.witness = pair
-        super().__init__(f"family is not directed: {pair[0]!r}, {pair[1]!r} "
-                         "have no common lower bound in the family")
-
-
 def _subset_mask(mask: int, ground: tuple, what: str) -> int:
     """``mask`` itself, if it names a subset of ``ground``."""
     if mask < 0 or mask >> len(ground):
@@ -155,13 +146,11 @@ def tail_filter(directed: Sequence[int]) -> Filter:
 
     The ground is the family itself.  At finite scale the final segments
     shrink to the inclusion-least member, so the kernel is that singleton.
+    The caller decides that the family is directed (``is_directed``).
     """
     family = tuple(dict.fromkeys(directed))
     if not family:
         raise ValueError("empty family has no tail filter")
-    ok, witness = is_directed(family)
-    if not ok:
-        raise NotDirectedError(witness)
     return Filter(family, 1 << family.index(reduce(and_, family)))
 
 

@@ -156,10 +156,8 @@ def differentiates(space: MeasureSpace, kernel: FilterKernel) -> Verdict:
 
 def lower_density_from_kernel(space: MeasureSpace, kernel: FilterKernel) -> SetTransform:
     """The set transform picking the points where a set's indicator
-    averages to 1 in the limit."""
-    d = differentiates(space, kernel)
-    if not d:
-        raise ValueError(f"kernel does not differentiate: {d.reason}")
+    averages to 1 in the limit.  The kernel must differentiate, which
+    ``verify_theorem1`` decides just before."""
     table = []
     for q in range(space.full_mask + 1):
         g = limiting_operator(space, kernel, lebesgue_transform(space, indicator(space, q)))
@@ -213,7 +211,7 @@ class TheoremOneEntry:
 
     @property
     def passed(self) -> bool:
-        return all(self.verdicts)
+        return all(self.verdicts) and self.round_trip_identity
 
     def to_dict(self) -> dict:
         return {"retraction": list(self.retraction),
@@ -272,10 +270,11 @@ def verify_theorem1(space: MeasureSpace) -> TheoremOneReport:
     Boolean-algebra section of the projection (the other direction).  Also
     records whether the round trip lands on the starting lifting.
 
-    Each statement is evaluated here, once per lifting; a stage evaluates
-    one again only to check its own input.  A failing statement is reported
-    with its witness, not raised; the later ones read ``NOT_REACHED``, and
-    ``all_pass`` is false.
+    Each statement is evaluated here, once per lifting; no stage evaluates
+    one again, as its precondition is the statement decided just before.
+    A failing statement is reported with its witness, not raised; the later
+    ones read ``NOT_REACHED``, and ``all_pass`` is false, as it is when a
+    round trip lands elsewhere.
     """
     entries = []
     for lifting in enumerate_liftings(space):

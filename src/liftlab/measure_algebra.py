@@ -328,10 +328,8 @@ def is_right_inverse(space: MeasureSpace, rho: BooleanHom) -> Verdict:
 
 def lifting_to_right_inverse(space: MeasureSpace, lifting: SetTransform) -> BooleanHom:
     """The hom induced on classes: well defined because the lifting is
-    class-determined, and a section because it is an a.e. identity."""
-    v = is_lifting(lifting)
-    if not v:
-        raise ValueError(f"not a lifting: {v.reason} (witness {v.witness})")
+    class-determined, and a section because it is an a.e. identity.  The
+    input must be a lifting, which ``verify_theorem1`` decides just before."""
     return BooleanHom(space, {c: lifting.table[c] for c in algebra_classes(space)})
 
 
@@ -448,11 +446,10 @@ def lower_density_to_lifting(space: MeasureSpace, density: SetTransform) -> SetT
     an ultrafilter (deterministically) and read the result back as a set
     transform.  The output is sandwiched between the input and the
     complement-dual of the input; that it is a lifting is left to the
-    caller (``verify_theorem1`` reports it).
+    caller (``verify_theorem1`` reports it).  The input must be a lower
+    density, which ``verify_theorem1`` decides just before; on another table
+    a broken point family or sandwich raises ``InternalCheckError``.
     """
-    v = is_lower_density(density)
-    if not v:
-        raise ValueError(f"not a lower density: {v.reason} (witness {v.witness})")
     atoms = tuple(range(space.n))
     tab = density.table
     # Lemma: a family that is up-closed and holds its meet is closed under
@@ -465,10 +462,13 @@ def lower_density_to_lifting(space: MeasureSpace, density: SetTransform) -> SetT
         family = [q for q in range(space.full_mask + 1) if (tab[q] >> x) & 1]
         if not family:
             raise InternalCheckError(f"point {x} has an empty set family")
-        if not (monotone and (tab[reduce(and_, family)] >> x) & 1):
+        meet = reduce(and_, family)
+        if not (monotone and (tab[meet] >> x) & 1):
             fam_set = set(family)
             if any(a & b not in fam_set for a in family for b in family):
                 raise InternalCheckError("set family is not intersection-closed")
+        if not meet:
+            raise InternalCheckError(f"point {x} has an improper filter: empty meet")
         refined = ultrafilter_refine(filter_from_base(atoms, family))
         target.append(refined.kernel_elements()[0])
     lifted = _preimage_transform(space, target)

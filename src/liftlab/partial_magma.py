@@ -344,12 +344,12 @@ def is_pm_hom(f, source: PartialMagma, target: PartialMagma,
     return Verdict.ok()
 
 
-def single_unit_totality(pm: PartialMagma) -> Verdict:
-    """On a regular magma: exactly one unit iff the operation is total.
+def single_unit_totality(c: PMClassification) -> Verdict:
+    """On a regular magma, given its classification: exactly one unit iff
+    the operation is total.
 
     This is a theorem, so a failing verdict means an internal error.
     """
-    c = classify(pm)
     if not c.regular:
         raise ValueError("single-unit/totality only applies to regular magmas")
     single = len(c.units) == 1

@@ -15,7 +15,9 @@ class InternalCheckError(AssertionError):
     """A statement that is a theorem failed on concrete data.
 
     This never indicates bad input; it means the implementation (or the
-    theorem) is wrong, so it is raised rather than reported.
+    theorem) is wrong, so it is raised rather than reported.  It is also how
+    a stage given input its caller should have refused fails: stages do not
+    re-check their preconditions, only their own output.
     """
 
 

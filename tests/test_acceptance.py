@@ -26,7 +26,7 @@ from liftlab.measure_algebra import (algebra_classes, brute_force_liftings,
                                      lifting_to_right_inverse,
                                      lower_density_to_lifting, project)
 from liftlab.measure_space import build_space, indicator
-from liftlab.partial_magma import (interchange_sweep, regular_tables,
+from liftlab.partial_magma import (classify, interchange_sweep, regular_tables,
                                    single_unit_totality)
 from liftlab.suite import natequiv_report, run_check
 from liftlab.yoneda_finite import yoneda_roundtrip
@@ -143,7 +143,7 @@ def test_criterion_06_single_unit_iff_total():
     for n in (1, 2, 3):
         for pm in regular_tables(n):
             total += 1
-            if not single_unit_totality(pm):
+            if not single_unit_totality(classify(pm)):
                 ok = False
     _report(6, f"single unit <=> totality on all {total} regular magmas with "
                "at most 3 elements", ok, time.monotonic() - start, None)

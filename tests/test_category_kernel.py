@@ -17,7 +17,7 @@ from liftlab.category_kernel import (ENUMERATION_CAP, FiniteCategory, Functor,
 from liftlab.partial_magma import build_pm, is_pm_hom, regular_tables, units
 import liftlab.suite as suite
 from liftlab.suite import natequiv_report, run_check
-from liftlab.verdict import CapacityError
+from liftlab.verdict import CapacityError, InternalCheckError
 
 
 CATS = named_categories()
@@ -309,6 +309,22 @@ class TestNatEquivOnNamedPairs:
         assert rep["functors"] == functors
         assert rep["arrow_indexed"] == rep["object_indexed"] == pairs
 
+    def test_each_transformation_validated_once_per_encoding_step(self, monkeypatch):
+        # 100 transformations: enumeration validates each candidate, and
+        # each converter checks only its own output
+        calls = []
+        for name in ("validate_nat_hom", "validate_nat_trans"):
+            original = getattr(category_kernel, name)
+
+            def counted(arg, _name=name, _original=original):
+                calls.append(_name)
+                return _original(arg)
+
+            monkeypatch.setattr(category_kernel, name, counted)
+        rep = natequiv_report("3", "SQ")
+        assert rep["pass"] and rep["arrow_indexed"] == rep["object_indexed"] == 100
+        assert calls.count("validate_nat_hom") == calls.count("validate_nat_trans") == 200
+
     def test_counts_past_the_old_cap(self):
         expected = {("3", "SQ"): (16, 100), ("SQ", "3"): (20, 168),
                     ("SQ", "SQ"): (36, 400)}
@@ -432,7 +448,7 @@ class TestTransformEncodings:
         t, s = fs[0], fs[0]
         bad = NatHom(t, s, ((0, 1),) * 3)
         assert not validate_nat_hom(bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(InternalCheckError):
             nat_from_hom(bad)
 
 

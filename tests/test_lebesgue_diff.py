@@ -24,6 +24,7 @@ from liftlab.verdict import Verdict
 
 A, B, N = 1, 2, 4
 LAMBDA_A = (0, 5, 2, 7, 0, 5, 2, 7)
+LAMBDA_B = (0, 1, 6, 7, 0, 1, 6, 7)
 
 
 def lambda_a_kernel(s1):
@@ -279,8 +280,11 @@ class TestLowerDensityFromKernel:
         assert density.table[A] == density.table[A | N]
 
     def test_rejects_non_differentiating_kernel(self, s1):
-        with pytest.raises(ValueError, match="differentiate"):
-            lower_density_from_kernel(s1, trivial_kernel(s1))
+        # the trivial kernel's limits exist only where an indicator is a.e. constant
+        density = lower_density_from_kernel(s1, trivial_kernel(s1))
+        v = ma.is_lower_density(density)
+        assert not v and v.reason.startswith("ae_identity")
+        assert v.witness == 1
 
 
 class TestBasisFromLifting:
@@ -401,16 +405,16 @@ class TestTheoremOneCallCounts:
         report = verify_theorem1(sp)
         assert len(report.entries) == 16 and report.all_pass
         per_lifting = {name: counts[name] / 16 for name in PIPELINE_NAMES}
-        # The second differentiates, is_lower_density and is_lifting are
-        # public functions checking their own input.  The density reads
-        # all 2^n indicators' limits; each differentiates reads only the
+        # The second is_lifting is basis_from_lifting's check of the
+        # enumerated lifting, the only check of that object.  The density
+        # reads all 2^n indicators' limits; differentiates reads only the
         # indicators of the 4 positive atoms.
         assert per_lifting == {
-            "kernel_from_lifting": 1, "differentiates": 2,
+            "kernel_from_lifting": 1, "differentiates": 1,
             "lower_density_from_kernel": 1,
-            "lebesgue_transform": 2 ** 6 + 2 * 4, "limiting_operator": 2 ** 6 + 2 * 4,
-            "lower_density_to_lifting": 1, "is_lower_density": 2,
-            "is_lifting": 3, "lifting_to_right_inverse": 1,
+            "lebesgue_transform": 2 ** 6 + 4, "limiting_operator": 2 ** 6 + 4,
+            "lower_density_to_lifting": 1, "is_lower_density": 1,
+            "is_lifting": 2, "lifting_to_right_inverse": 1,
             "is_boolean_homomorphism": 1, "is_right_inverse": 1,
         }
 
@@ -487,3 +491,23 @@ class TestTheoremOneFaults:
         assert report["status"] == "fail" and report["all_pass"] is False
         assert [e[field]["witness"] for e in report["entries"]] == witnesses
         assert report["lifting_count"] == 2
+
+
+def _other_lifting_stage(space, density):
+    # a genuine lifting, but the other one of [1, 1, 0]
+    return SetTransform(space, LAMBDA_B if density.table == LAMBDA_A else LAMBDA_A)
+
+
+def test_cli_fails_a_round_trip_that_lands_elsewhere(s1, monkeypatch, tmp_path):
+    monkeypatch.setattr(leb, "lower_density_to_lifting", _other_lifting_stage)
+    path = tmp_path / "s1.json"
+    path.write_text(json.dumps({"kind": "measure_space",
+                                "weights": ["1", "1", "0"]}))
+    result = CliRunner().invoke(main, ["space", "theorem1", str(path),
+                                       "--format", "json"])
+    assert result.exit_code == 1
+    report = json.loads(result.stdout)
+    assert report["status"] == "fail" and report["round_trips_identical"] is False
+    # every statement holds of the lifting the round trip reached
+    assert all(e[f]["holds"] for e in report["entries"] for f in leb.STATEMENTS)
+    assert not any(e["round_trip_identity"] for e in report["entries"])

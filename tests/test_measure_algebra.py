@@ -17,6 +17,7 @@ from liftlab.measure_algebra import (BooleanHom, SetTransform,
                                      lower_density_to_lifting, project,
                                      sampled_lifting_oracle)
 from liftlab.measure_space import ae_equal, build_space
+from liftlab.verdict import InternalCheckError
 
 A, B, N = 1, 2, 4
 
@@ -165,7 +166,8 @@ class TestLowerDensityToLifting:
         assert lifted.table == unique.table
 
     def test_rejects_non_density_with_failing_property(self, s1):
-        with pytest.raises(ValueError, match="preserves_ambient_space"):
+        # no image holds the null atom, so its set family is empty
+        with pytest.raises(InternalCheckError, match="point 2 has an empty set family"):
             lower_density_to_lifting(s1, SetTransform(s1, STRIP_NULLS))
 
 
@@ -183,8 +185,10 @@ class TestRightInverse:
             assert project(s1, rho(c)) == c
 
     def test_rejects_non_lifting(self, s1):
-        with pytest.raises(ValueError, match="not a lifting"):
-            lifting_to_right_inverse(s1, SetTransform(s1, DENSITY_ONLY))
+        rho = lifting_to_right_inverse(s1, SetTransform(s1, DENSITY_ONLY))
+        v = is_boolean_homomorphism(s1, rho)
+        assert not v and v.reason == "complement not preserved"
+        assert v.witness == 1
 
 
 class TestBooleanHom:

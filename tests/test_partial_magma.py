@@ -464,18 +464,19 @@ class TestHomomorphisms:
 class TestSingleUnitTotality:
     def test_monoid_fixture(self):
         pm, _ = matrix_magma([(1, 1)])
-        assert single_unit_totality(pm)
-        assert classify(pm).monoid
+        c = classify(pm)
+        assert single_unit_totality(c)
+        assert c.monoid
 
     def test_two_units_non_total(self):
         pm, _ = matrix_magma([(1, 1), (2, 2)])
-        assert single_unit_totality(pm)
         c = classify(pm)
+        assert single_unit_totality(c)
         assert len(c.units) == 2 and not c.total
 
     def test_requires_regularity(self):
         with pytest.raises(ValueError):
-            single_unit_totality(nat_subtraction_magma(3))
+            single_unit_totality(classify(nat_subtraction_magma(3)))
 
 
 class TestSweepInfrastructure:

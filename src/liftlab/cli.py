@@ -216,7 +216,7 @@ def space():
 
 @_command(space, "check")
 @click.argument("input_path")
-@click.option("--max-atoms", type=int, default=12, show_default=True)
+@click.option("--max-atoms", type=click.IntRange(min=1), default=12, show_default=True)
 def space_check(input_path, max_atoms):
     """Evaluate all nine transform properties plus the two bundles."""
     sp, transform = _space_from_doc(_read_document(input_path), max_atoms)
@@ -241,7 +241,7 @@ def space_check(input_path, max_atoms):
 @_command(space, "liftings")
 @click.argument("input_path")
 @seed_option
-@click.option("--max-atoms", type=int, default=12, show_default=True)
+@click.option("--max-atoms", type=click.IntRange(min=1), default=12, show_default=True)
 @click.option("--oracle/--no-oracle", default=False,
               help="Also run the brute-force (or sampled) oracle.")
 def space_liftings(input_path, seed, max_atoms, oracle):
@@ -275,7 +275,7 @@ def space_liftings(input_path, seed, max_atoms, oracle):
 
 @_command(space, "theorem1")
 @click.argument("input_path")
-@click.option("--max-atoms", type=int, default=12, show_default=True)
+@click.option("--max-atoms", type=click.IntRange(min=1), default=12, show_default=True)
 def space_theorem1(input_path, max_atoms):
     """Run the full two-way lifting/limit-operator pipeline."""
     sp, _ = _space_from_doc(_read_document(input_path), max_atoms)
@@ -295,7 +295,7 @@ def pm():
 
 @_command(pm, "classify")
 @click.argument("input_path")
-@click.option("--max-elems", type=int, default=8, show_default=True)
+@click.option("--max-elems", type=click.IntRange(min=1), default=8, show_default=True)
 def pm_classify(input_path, max_elems):
     """Classify a partial magma (units, associativity, fastening)."""
     magma = _pm_from_doc(_read_document(input_path), max_elems, "partial_magma")
@@ -313,7 +313,7 @@ def pm_classify(input_path, max_elems):
 
 @_command(pm, "interchange")
 @click.argument("input_path")
-@click.option("--max-elems", type=int, default=8, show_default=True)
+@click.option("--max-elems", type=click.IntRange(min=1), default=8, show_default=True)
 def pm_interchange(input_path, max_elems):
     """Check the interchange law on all quadruples of pairs."""
     magma = _pm_from_doc(_read_document(input_path), max_elems, "partial_magma")
@@ -330,7 +330,7 @@ def cat():
 
 @_command(cat, "twin")
 @click.argument("input_path")
-@click.option("--max-elems", type=int, default=8, show_default=True)
+@click.option("--max-elems", type=click.IntRange(min=1), default=8, show_default=True)
 def cat_twin(input_path, max_elems):
     """Build the twin category and confirm it recaptures the hom-sets."""
     magma = _pm_from_doc(_read_document(input_path), max_elems, "category")

@@ -1,9 +1,11 @@
 """Filters on finite ground sets, stored by their kernels.
 
-A subset of a ground tuple is an ``int`` bitmask over its positions: bit
-``i`` stands for ``ground[i]``, as bit ``i`` of a set mask stands for atom
-``i`` in ``measure_space``.  Filter kernels and members both use this one
-form; ``Filter.kernel_elements`` reads a kernel back as ground elements.
+A ground is an ``int`` mask over non-negative int elements: bit ``e``
+stands for element ``e``, as bit ``i`` of a set mask stands for atom ``i``
+in ``measure_space``.  The elements may be set masks themselves, so a
+family of sets of atoms is a mask with bit ``q`` for set ``q``.  A kernel
+and a candidate member are masks of the same form, within the ground, and
+``bits`` reads any of them back as elements.
 
 On a finite ground set every proper filter is principal: it is exactly the
 family of supersets of a unique nonempty kernel.  We therefore never
@@ -17,25 +19,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from operator import and_
+from operator import and_, or_
 from typing import Callable, Sequence
 
 from .measure_space import bits
 from .verdict import InternalCheckError, Verdict
 
 
-def _subset_mask(mask: int, ground: tuple, what: str) -> int:
+def _subset_mask(mask: int, ground: int, what: str) -> int:
     """``mask`` itself, if it names a subset of ``ground``."""
-    if mask < 0 or mask >> len(ground):
+    if mask & ~ground:  # a negative mask has bits beyond any ground
         raise ValueError(f"{what} is not a subset of the ground")
     return mask
-
-
-def _position(ground: tuple, e) -> int:
-    try:
-        return ground.index(e)
-    except ValueError:
-        raise ValueError(f"{e!r} is not a ground element") from None
 
 
 @dataclass(frozen=True)
@@ -46,12 +41,12 @@ class Filter:
     contains the kernel.
     """
 
-    ground: tuple
+    ground: int
     kernel: int
 
     def __post_init__(self):
-        if len(set(self.ground)) != len(self.ground):
-            raise ValueError("ground has duplicate elements")
+        if self.ground < 0:  # it would hold every element past some point
+            raise ValueError("a ground is a mask over non-negative elements")
         if not self.kernel:
             raise ValueError("improper filter: empty kernel")
         _subset_mask(self.kernel, self.ground, "kernel")
@@ -60,25 +55,18 @@ class Filter:
         _subset_mask(member, self.ground, "candidate member")
         return self.kernel & ~member == 0
 
-    def kernel_elements(self) -> tuple:
-        """The kernel's ground elements, in ground order."""
-        return tuple(self.ground[i] for i in bits(self.kernel))
 
-
-def trivial_filter(ground: Sequence) -> Filter:
+def trivial_filter(ground: int) -> Filter:
     """The smallest filter: only the whole ground belongs to it."""
-    ground = tuple(ground)
-    return Filter(ground, (1 << len(ground)) - 1)
+    return Filter(ground, ground)
 
 
-def principal_ultrafilter(ground: Sequence, q) -> Filter:
-    ground = tuple(ground)
-    return Filter(ground, 1 << _position(ground, q))
+def principal_ultrafilter(ground: int, q: int) -> Filter:
+    return Filter(ground, 1 << q)
 
 
-def filter_from_base(ground: Sequence, base: Sequence[int]) -> Filter:
+def filter_from_base(ground: int, base: Sequence[int]) -> Filter:
     """The filter generated by a base: kernel = intersection of the base."""
-    ground = tuple(ground)
     if not base:
         raise ValueError("empty base generates no filter")
     kernel = reduce(and_, (_subset_mask(m, ground, "base member") for m in base))
@@ -95,19 +83,18 @@ def is_ultrafilter(f: Filter) -> bool:
 def ultrafilter_refine(f: Filter) -> Filter:
     """A deterministic ultrafilter refinement.
 
-    Ties are broken by keeping the kernel element with the smallest ground
-    index (the lowest set bit), so refinements are reproducible across runs.
+    Ties are broken by keeping the smallest kernel element (the lowest set
+    bit), so refinements are reproducible across runs.
     """
     return Filter(f.ground, f.kernel & -f.kernel)
 
 
-def direct_image(fmap: Callable, f: Filter, target_ground: Sequence) -> Filter:
+def direct_image(fmap: Callable, f: Filter, target_ground: int) -> Filter:
     """Image filter along a map of grounds: the kernel maps forward."""
-    target = tuple(target_ground)
     image = 0
-    for e in f.kernel_elements():
-        image |= 1 << _position(target, fmap(e))
-    return Filter(target, image)
+    for e in bits(f.kernel):
+        image |= 1 << fmap(e)
+    return Filter(target_ground, image)
 
 
 def limit_along(f: Filter, lam: Callable):
@@ -117,7 +104,7 @@ def limit_along(f: Filter, lam: Callable):
     supersets of ``lam``'s values on the kernel.  In a T1 space that image
     converges iff those values are a single point, which is then the limit.
     """
-    values = {lam(e) for e in f.kernel_elements()}
+    values = {lam(e) for e in bits(f.kernel)}
     if len(values) == 1:
         return next(iter(values))
     return None
@@ -144,31 +131,32 @@ def tail_filter(directed: Sequence[int]) -> Filter:
     """Filter of final segments of a family of set masks directed by
     reverse inclusion.
 
-    The ground is the family itself.  At finite scale the final segments
-    shrink to the inclusion-least member, so the kernel is that singleton.
-    The caller decides that the family is directed (``is_directed``).
+    The ground is the family itself: bit ``q`` for member ``q``.  At finite
+    scale the final segments shrink to the inclusion-least member, the
+    family's meet, so the kernel is that singleton.  The caller decides
+    that the family is directed (``is_directed``); a family without its
+    meet raises ``ValueError``.
     """
-    family = tuple(dict.fromkeys(directed))
+    family = reduce(or_, (1 << q for q in directed), 0)
     if not family:
         raise ValueError("empty family has no tail filter")
-    return Filter(family, 1 << family.index(reduce(and_, family)))
+    meet = reduce(and_, directed)
+    if not family >> meet & 1:
+        raise ValueError(f"family is not directed: its meet {meet:#b} is not a member")
+    return Filter(family, 1 << meet)
 
 
-# A family of nonempty subsets of range(size) is an ``int`` code of
-# 2^size - 1 bits: bit s - 1 stands for subset s.  The oracles below visit
-# every code in increasing order and test the filter axioms on the code,
-# listing the members only of the few families that pass.
-
-def _members(code: int) -> list[int]:
-    """The subsets of a family code, ascending."""
-    return [i + 1 for i in bits(code)]
-
+# A family of subsets of range(size) is an ``int`` code of the same form as
+# a kernel over a ground of sets: bit s stands for subset s.  The oracles
+# below visit every code of nonempty subsets in increasing order and test
+# the filter axioms on the code, listing the members only of the few
+# families that pass.
 
 def _up_codes(size: int) -> list[int]:
-    """Entry i: the code of the nonempty supersets of subset i + 1."""
+    """Entry a: the code of the nonempty supersets of subset a."""
     full = (1 << size) - 1
-    return [sum(1 << (s - 1) for s in range(1, full + 1) if s & a == a)
-            for a in range(1, full + 1)]
+    return [sum(1 << s for s in range(1, full + 1) if s & a == a)
+            for a in range(full + 1)]
 
 
 def _filter_codes(size: int):
@@ -176,12 +164,12 @@ def _filter_codes(size: int):
     filter axioms literally, in increasing order, each with the
     intersection of its members.
 
-    A family is a filter when it is nonempty, all members are nonempty (so
-    is every subset a code can name), and it is closed under upward
-    inclusion and pairwise intersection.
+    A family is a filter when it is nonempty, all members are nonempty
+    (bit 0, the empty set, is clear in every code visited), and it is
+    closed under upward inclusion and pairwise intersection.
     """
     up = _up_codes(size)
-    for code in range(1, 1 << ((1 << size) - 1)):
+    for code in range(2, 2 << ((1 << size) - 1), 2):
         rest = code
         while rest:  # upward closure, member by member
             low = rest & -rest
@@ -189,17 +177,10 @@ def _filter_codes(size: int):
                 break
             rest ^= low
         else:
-            members = _members(code)
-            if all(a & b and code >> ((a & b) - 1) & 1
-                   for a in members for b in members):
+            members = list(bits(code))
+            # an empty intersection reads bit 0, which no code visited holds
+            if all(code >> (a & b) & 1 for a in members for b in members):
                 yield code, reduce(and_, members)
-
-
-def _literal_filters(size: int) -> list[tuple[frozenset, int]]:
-    """All families of subsets of range(size) satisfying the filter axioms
-    literally, as sets of bitmasks, paired with the intersection of their
-    members."""
-    return [(frozenset(_members(code)), kernel) for code, kernel in _filter_codes(size)]
 
 
 def principality_oracle(max_size: int = 4) -> Verdict:
@@ -210,19 +191,18 @@ def principality_oracle(max_size: int = 4) -> Verdict:
     ``is_ultrafilter`` accepts.
     """
     for size in range(1, max_size + 1):
-        ground = tuple(range(size))
-        full = (1 << size) - 1
+        ground = (1 << size) - 1
         filters = list(_filter_codes(size))
         for code, kernel in filters:
             f = Filter(ground, kernel)
-            upset = sum(1 << (s - 1) for s in range(1, full + 1) if f.contains(s))
+            upset = sum(1 << s for s in range(1, ground + 1) if f.contains(s))
             if code != upset:
-                return Verdict.fail((size, _members(code)),
+                return Verdict.fail((size, list(bits(code))),
                                     "literal filter is not the up-set of its kernel")
             maximal = not any(code & ~other == 0 and code != other
                               for other, _ in filters)
             if maximal != is_ultrafilter(f):
-                return Verdict.fail((size, _members(code)),
+                return Verdict.fail((size, list(bits(code))),
                                     "maximality disagrees with singleton kernel")
     return Verdict.ok(f"all literal filters principal on grounds up to size {max_size}")
 
@@ -235,13 +215,12 @@ def base_generation_oracle(max_size: int = 4) -> Verdict:
     members as the kernel rule with kernel = the total intersection.
     """
     for size in range(1, max_size + 1):
-        ground = tuple(range(size))
-        full = (1 << size) - 1
+        ground = (1 << size) - 1
         up = _up_codes(size)
         # entry e: the code of the subsets that contain element e
-        holding = [sum(1 << (s - 1) for s in range(1, full + 1) if s >> e & 1)
-                   for e in ground]
-        for code in range(1, 1 << full):
+        holding = [sum(1 << s for s in range(1, ground + 1) if s >> e & 1)
+                   for e in range(size)]
+        for code in range(2, 2 << ground, 2):
             for h in holding:
                 if not code & ~h:
                     break
@@ -250,17 +229,17 @@ def base_generation_oracle(max_size: int = 4) -> Verdict:
             closure, grown = 0, code
             while grown != closure:  # pairwise intersections, to a fixed point
                 closure = grown
-                members = _members(closure)
+                members = list(bits(closure))
                 for a in members:
                     for b in members:
                         # never empty: it holds the base's intersection
-                        grown |= 1 << ((a & b) - 1)
+                        grown |= 1 << (a & b)
             literal = 0
             for m in bits(closure):
                 literal |= up[m]
-            base = _members(code)
+            base = list(bits(code))
             generated = filter_from_base(ground, base)
-            by_kernel = sum(1 << (s - 1) for s in range(1, full + 1)
+            by_kernel = sum(1 << s for s in range(1, ground + 1)
                             if generated.contains(s))
             if literal != by_kernel:
                 return Verdict.fail((size, base),

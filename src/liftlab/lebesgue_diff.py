@@ -24,8 +24,8 @@ import random
 
 from .filter_calculus import (Filter, direct_image, is_directed, limit_along,
                               tail_filter)
-from .measure_space import (MeasureSpace, PartialFn, averageable_sets, bits,
-                            indicator, is_null, total_fn)
+from .measure_space import (MeasureSpace, PartialFn, averageable_code,
+                            averageable_sets, bits, indicator, is_null, total_fn)
 from .measure_algebra import (SetTransform, enumerate_liftings, is_lifting,
                               is_boolean_homomorphism, is_lower_density,
                               is_right_inverse, lifting_retraction,
@@ -84,7 +84,7 @@ class FilterKernel:
     def __post_init__(self):
         if len(self.filters) != self.space.n:
             raise ValueError("need one filter per atom")
-        ground = averageable_sets(self.space)
+        ground = averageable_code(self.space)
         for f in self.filters:
             if f.ground != ground:
                 raise ValueError("kernel filters must live on the averageable sets")
@@ -193,7 +193,7 @@ def kernel_from_lifting(space: MeasureSpace, lifting: SetTransform) -> FilterKer
     sets.  A lifting fixes the whole space, which is averageable, so every
     point's family holds it and has a tail filter."""
     basis = basis_from_lifting(space, lifting)
-    ground = averageable_sets(space)
+    ground = averageable_code(space)
     return FilterKernel(space, tuple(direct_image(lambda q: q, tail_filter(fam), ground)
                                      for fam in basis.families))
 

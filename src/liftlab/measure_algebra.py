@@ -450,7 +450,6 @@ def lower_density_to_lifting(space: MeasureSpace, density: SetTransform) -> SetT
     density, which ``verify_theorem1`` decides just before; on another table
     a broken point family or sandwich raises ``InternalCheckError``.
     """
-    atoms = tuple(range(space.n))
     tab = density.table
     # Lemma: a family that is up-closed and holds its meet is closed under
     # intersections.  Every point's family is up-closed iff the table is
@@ -469,8 +468,8 @@ def lower_density_to_lifting(space: MeasureSpace, density: SetTransform) -> SetT
                 raise InternalCheckError("set family is not intersection-closed")
         if not meet:
             raise InternalCheckError(f"point {x} has an improper filter: empty meet")
-        refined = ultrafilter_refine(filter_from_base(atoms, family))
-        target.append(refined.kernel_elements()[0])
+        refined = ultrafilter_refine(filter_from_base(space.full_mask, family))
+        target.append(refined.kernel.bit_length() - 1)
     lifted = _preimage_transform(space, target)
     full = space.full_mask
     for q in range(full + 1):

@@ -104,6 +104,12 @@ def averageable_sets(space: MeasureSpace) -> tuple[int, ...]:
     return tuple(q for q in range(1, space.full_mask + 1) if q & space.pos_mask)
 
 
+@lru_cache(maxsize=None)
+def averageable_code(space: MeasureSpace) -> int:
+    """The averageable sets as one filter ground: bit ``q`` for set ``q``."""
+    return sum(1 << q for q in averageable_sets(space))
+
+
 @dataclass(frozen=True)
 class PartialFn:
     """A rational-valued function defined on a subset of the atoms.

@@ -17,6 +17,7 @@ from operator import itemgetter
 
 from .filter_calculus import (Filter, direct_image, is_ultrafilter,
                               limit_along, principal_ultrafilter)
+from .measure_space import bits
 from .verdict import InternalCheckError, Verdict
 
 
@@ -137,7 +138,8 @@ def tau_from_kernel(filters, probes: ProbeFamily) -> TauCandidate:
 
     The limit of an input along the principal ultrafilter at z is the
     input's value at z, so output digit j copies the input digit at the
-    point of the j-th filter.
+    point of the j-th filter.  Z is range(n) for the highest element n - 1
+    of the filters' ground, so a ground ``(1 << n) - 1`` is all of Z.
     """
     filters = tuple(filters)
     if not filters:
@@ -148,6 +150,7 @@ def tau_from_kernel(filters, probes: ProbeFamily) -> TauCandidate:
             raise ValueError("kernel filters must share one ground")
         if not is_ultrafilter(f):
             raise ValueError("kernel entry is not an ultrafilter")
+    z_ground = tuple(range(ground.bit_length()))
     # an ultrafilter's kernel is one bit: the index of its point
     points = [f.kernel.bit_length() - 1 for f in filters]
     x_count = len(filters)
@@ -156,16 +159,17 @@ def tau_from_kernel(filters, probes: ProbeFamily) -> TauCandidate:
         # output digit j, worth s ** (x_count - 1 - j), copies input digit
         # points[j]; rows grow one input digit at a time, like the inputs
         row = [0]
-        for z in range(len(ground)):
+        for z in z_ground:
             weight = sum(s ** (x_count - 1 - j) for j, p in enumerate(points) if p == z)
             row = [i + v * weight for i in row for v in range(s)]
         rows[s] = tuple(row)
-    return TauCandidate(ground, x_count, probes, rows)
+    return TauCandidate(z_ground, x_count, probes, rows)
 
 
 def kernel_from_tau(tau: TauCandidate) -> tuple[Filter, ...]:
     """Extract the kernel: evaluate at the tautological input of the
-    ultrafilter probe (the probe of size |Z|, indexed like Z itself).
+    ultrafilter probe (the probe of size |Z|, indexed like Z itself).  The
+    i-th point of Z is element i of the ground mask ``(1 << |Z|) - 1``.
 
     Extraction does not require naturality; on a non-natural candidate the
     round trip simply fails.
@@ -175,8 +179,7 @@ def kernel_from_tau(tau: TauCandidate) -> tuple[Filter, ...]:
         raise ValueError("probe family lacks the ultrafilter probe of Z")
     tautological = tuple(range(z_len))
     assignment = tau.value(z_len, tautological)
-    return tuple(principal_ultrafilter(tau.z_ground, tau.z_ground[i])
-                 for i in assignment)
+    return tuple(principal_ultrafilter((1 << z_len) - 1, i) for i in assignment)
 
 
 def _search_order(z_len: int, sizes) -> list[tuple[int, int]]:
@@ -289,13 +292,13 @@ def yoneda_roundtrip(z_size: int, x_size: int) -> YonedaReport:
     candidates, search_nodes = enumerate_natural(z_ground, x_size, probes)
     expected = z_size ** x_size
 
-    extracted = sorted(tuple(f.kernel_elements()[0] for f in kernel_from_tau(tau))
+    extracted = sorted(tuple(f.kernel.bit_length() - 1 for f in kernel_from_tau(tau))
                        for tau in candidates)
     every_kernel = sorted(product(z_ground, repeat=x_size))
     bijection_ok = extracted == every_kernel
     roundtrip_candidates_ok = all(
         induced(kernel_from_tau(tau)).rows == tau.rows for tau in candidates)
-    kernels = (tuple(principal_ultrafilter(z_ground, p) for p in points)
+    kernels = (tuple(principal_ultrafilter((1 << z_size) - 1, p) for p in points)
                for points in every_kernel)
     roundtrip_kernels_ok = all(kernel_from_tau(induced(filters)) == filters
                                for filters in kernels)
@@ -308,13 +311,12 @@ def yoneda_roundtrip(z_size: int, x_size: int) -> YonedaReport:
 # The ultrafilter space and the underlying-set adjunction.
 # ---------------------------------------------------------------------------
 
-def beta_space(ground) -> tuple[Filter, ...]:
-    """The points of the ultrafilter space of a finite ground set: its
-    principal ultrafilters, in ground order.  The space is discrete."""
-    ground = tuple(ground)
+def beta_space(ground: int) -> tuple[Filter, ...]:
+    """The points of the ultrafilter space of a finite ground mask: its
+    principal ultrafilters, in element order.  The space is discrete."""
     if not ground:
         raise ValueError("empty ground has no ultrafilters")
-    return tuple(principal_ultrafilter(ground, q) for q in ground)
+    return tuple(principal_ultrafilter(ground, q) for q in bits(ground))
 
 
 @dataclass(frozen=True)
@@ -347,14 +349,14 @@ def adjunction_bijection(x_size: int, d_size: int) -> AdjunctionReport:
     composites are checked pointwise, and naturality in D is spot-checked
     against the codomain sizes 1, 2 and 3.
     """
-    x_points = tuple(range(x_size))
-    bx = beta_space(x_points)
+    x_ground = (1 << x_size) - 1
+    bx = beta_space(x_ground)
     delta_index = {pt: i for i, pt in enumerate(bx)}
 
     def forward(g: tuple[int, ...], codomain_size: int) -> tuple[int, ...]:
         out = []
         for u in bx:
-            image = direct_image(lambda x: g[x], u, tuple(range(codomain_size)))
+            image = direct_image(lambda x: g[x], u, (1 << codomain_size) - 1)
             val = limit_along(image, lambda p: p)
             if val is None:
                 raise InternalCheckError("ultrafilter image has no limit")
@@ -362,8 +364,8 @@ def adjunction_bijection(x_size: int, d_size: int) -> AdjunctionReport:
         return tuple(out)
 
     def backward(h: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(h[delta_index[principal_ultrafilter(x_points, x)]]
-                     for x in x_points)
+        return tuple(h[delta_index[principal_ultrafilter(x_ground, x)]]
+                     for x in range(x_size))
 
     set_side = all_functions(x_size, d_size)
     top_side = all_functions(len(bx), d_size)

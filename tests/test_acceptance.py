@@ -6,11 +6,12 @@ nothing is tolerance-based because every quantity is an exact rational or
 a finite structure.
 """
 
+import hashlib
 import json
 import random
 import time
 
-
+import pytest
 from click.testing import CliRunner
 
 from liftlab.cli import main as cli_main
@@ -189,6 +190,23 @@ def test_criterion_09_yoneda_roundtrip():
             ok, time.monotonic() - start, 120)
 
 
+#: sha256 of the report's stdout at seed 0, per command line.  A refactor
+#: that claims unchanged output keeps these; a change that means to alter
+#: the report updates them and says why.
+REPORT_DIGESTS = {
+    ("--format", "json"):
+        "0fe953f9a8604ffc9b372a08bc67c163c1ba9244fe9765a7a16d86c0a92f7963",
+    ("--format", "text"):
+        "581f18881f7e94cdea41a2343de72eb865d8f05662daa3dbf251c36c0ca17a21",
+    ("--format", "json", "--quick"):
+        "9150ea1245404ee09ee12ad932e768bfc118680da4b4e106fdd6df31cbea33ff",
+}
+
+
+def _digest(result) -> str:
+    return hashlib.sha256(result.stdout_bytes).hexdigest()
+
+
 def test_criterion_10_determinism_and_wallclock():
     start = time.monotonic()
     runner = CliRunner()
@@ -202,3 +220,12 @@ def test_criterion_10_determinism_and_wallclock():
         ok = payload["all_pass"] and not payload["quick"]
     _report(10, "two full-suite runs with one seed are byte-identical",
             ok, elapsed, 600)
+    assert _digest(first) == REPORT_DIGESTS[("--format", "json")]
+
+
+@pytest.mark.parametrize("args", [("--format", "text"), ("--format", "json", "--quick")],
+                         ids=["text", "json_quick"])
+def test_report_bytes_match_the_pinned_digest(args):
+    result = CliRunner().invoke(cli_main, ["report", *args, "--seed", "0"])
+    assert result.exit_code == 0
+    assert _digest(result) == REPORT_DIGESTS[args]

@@ -167,7 +167,18 @@ class TestExceptionBoundary:
         (["report", "--parallel", "0"], "'--parallel': 0 is not in the range x>=1."),
         (["report", "--format", "xml"], "'--format': 'xml' is not one of 'json', 'text'."),
         (["yoneda", "roundtrip", "--z-size", "abc"], "'--z-size': 'abc' is not a valid integer."),
-    ], ids=["parallel_zero", "format_xml", "z_size_abc"])
+        (["space", "check", "-", "--max-atoms", "0"], "'--max-atoms': 0 is not in the range x>=1."),
+        (["space", "liftings", "-", "--max-atoms", "-5"],
+         "'--max-atoms': -5 is not in the range x>=1."),
+        (["space", "theorem1", "-", "--max-atoms", "-5"],
+         "'--max-atoms': -5 is not in the range x>=1."),
+        (["pm", "classify", "-", "--max-elems", "0"], "'--max-elems': 0 is not in the range x>=1."),
+        (["pm", "interchange", "-", "--max-elems", "-1"],
+         "'--max-elems': -1 is not in the range x>=1."),
+        (["cat", "twin", "-", "--max-elems", "0"], "'--max-elems': 0 is not in the range x>=1."),
+    ], ids=["parallel_zero", "format_xml", "z_size_abc", "check_max_atoms_zero",
+            "liftings_max_atoms_negative", "theorem1_max_atoms_negative",
+            "classify_max_elems_zero", "interchange_max_elems_negative", "twin_max_elems_zero"])
     def test_usage_error_exits_2_with_one_line(self, runner, args, message):
         result = runner.invoke(main, args)
         assert result.exit_code == 2

@@ -11,15 +11,16 @@ import liftlab.lebesgue_diff as leb
 import liftlab.measure_algebra as ma
 from liftlab.cli import main
 from liftlab.filter_calculus import (Filter, principal_ultrafilter,
-                                     trivial_filter)
+                                     tail_filter, trivial_filter)
 from liftlab.lebesgue_diff import (NOT_REACHED, FilterKernel,
                                    basis_from_lifting, differentiates,
                                    kernel_from_lifting, lebesgue_transform,
                                    limiting_operator, lower_density_from_kernel,
                                    random_total_fn, recovers, verify_theorem1)
 from liftlab.measure_algebra import BooleanHom, SetTransform, enumerate_liftings
-from liftlab.measure_space import (PartialFn, averageable_sets, bits,
-                                   build_space, indicator, measure, total_fn)
+from liftlab.measure_space import (PartialFn, averageable_code, averageable_sets,
+                                   bits, build_space, indicator, measure,
+                                   total_fn)
 from liftlab.verdict import Verdict
 
 A, B, N = 1, 2, 4
@@ -32,7 +33,7 @@ def lambda_a_kernel(s1):
 
 
 def trivial_kernel(space):
-    ground = averageable_sets(space)
+    ground = averageable_code(space)
     return FilterKernel(space, tuple(trivial_filter(ground)
                                      for _ in range(space.n)))
 
@@ -147,6 +148,39 @@ class TestLazyMeans:
         assert lam(3) == Fraction(3, 2) and read == [3]
 
 
+class TestFilterKernel:
+    """A kernel's filters live on the averageable sets: the ground mask
+    has bit q for each set q of positive measure."""
+
+    def test_ground_is_the_code_of_the_averageable_sets(self, s1):
+        assert averageable_code(s1) == sum(1 << q for q in (1, 2, 3, 5, 6, 7))
+        assert all(f.ground == averageable_code(s1) for f in trivial_kernel(s1).filters)
+
+    @pytest.mark.parametrize("foreign", [
+        # every subset of the atoms, the empty and null-only sets included
+        lambda sp: trivial_filter((1 << sp.full_mask + 1) - 1),
+        # the averageable sets of another space
+        lambda sp: trivial_filter(averageable_code(build_space([1, 1, 1]))),
+        # one member, the set 0b100 that holds only the null atom
+        lambda sp: principal_ultrafilter(averageable_code(sp) | 1 << N, N),
+        # a tail filter not pushed onto the averageable sets: its ground is
+        # the family alone
+        lambda sp: tail_filter([sp.full_mask, A | B]),
+    ], ids=["all_subsets", "other_space", "null_only_member", "family_ground"])
+    def test_filter_on_another_ground_rejected(self, s1, foreign):
+        own = trivial_filter(averageable_code(s1))
+        with pytest.raises(ValueError, match="must live on the averageable sets"):
+            FilterKernel(s1, (own, foreign(s1), own))
+
+    def test_null_only_kernel_is_outside_the_averageable_ground(self, s1):
+        with pytest.raises(ValueError, match="kernel is not a subset of the ground"):
+            principal_ultrafilter(averageable_code(s1), N)
+
+    def test_one_filter_per_atom(self, s1):
+        with pytest.raises(ValueError, match="one filter per atom"):
+            FilterKernel(s1, trivial_kernel(s1).filters[:2])
+
+
 class TestLimitingOperator:
     def test_trivial_kernel_nonconstant_defined_nowhere(self, s1):
         lam = lebesgue_transform(s1, total_fn(s1, [2, 4, 0]))
@@ -175,9 +209,9 @@ class TestDifferentiates:
 
     def test_single_positive_atom_space_always_differentiates(self):
         sp = build_space([1, 0])
-        ground = averageable_sets(sp)
+        ground = averageable_code(sp)
         kernels = [trivial_kernel(sp)]
-        for q in ground:
+        for q in averageable_sets(sp):
             kernels.append(FilterKernel(
                 sp, tuple(principal_ultrafilter(ground, q) for _ in range(2))))
         for kernel in kernels:
@@ -189,11 +223,10 @@ class TestDifferentiates:
         rng = random.Random(23)
         for weights in ([1, 1, 0], [1, 2, 0], [1, 1, 1, 0]):
             sp = build_space(weights)
-            ground = averageable_sets(sp)
+            ground, sets = averageable_code(sp), averageable_sets(sp)
             for trial in range(30):
                 filters = tuple(
-                    Filter(ground, sum(1 << i for i in rng.sample(range(len(ground)),
-                                                                  rng.randint(1, 3))))
+                    Filter(ground, sum(1 << q for q in rng.sample(sets, rng.randint(1, 3))))
                     for _ in range(sp.n))
                 kernel = FilterKernel(sp, filters)
                 if differentiates(sp, kernel):
@@ -226,13 +259,13 @@ def spaces_and_kernels(draw):
     if not any(weights):
         weights[0] = 1
     space = build_space(weights)
-    ground = averageable_sets(space)
+    sets = averageable_sets(space)
     pos = list(bits(space.pos_mask))
     near = draw(st.booleans())
     members = []
     for x in range(space.n):
         if not near:
-            members.append(draw(st.lists(st.sampled_from(ground), min_size=1,
+            members.append(draw(st.lists(st.sampled_from(sets), min_size=1,
                                          max_size=3, unique=True)))
             continue
         centre = x if x in pos else draw(st.sampled_from(pos))
@@ -244,7 +277,7 @@ def spaces_and_kernels(draw):
             own.append((1 << centre) | nulls | noise)
         members.append(set(own))
     return space, FilterKernel(space, tuple(
-        Filter(ground, sum(1 << ground.index(m) for m in ms)) for ms in members))
+        Filter(averageable_code(space), sum(1 << m for m in ms)) for ms in members))
 
 
 class TestDifferentiatesOracle:
@@ -309,7 +342,7 @@ class TestBasisFromLifting:
 class TestKernelFromLifting:
     def test_fixture_kernels(self, s1):
         kernel = lambda_a_kernel(s1)
-        assert [f.kernel_elements() for f in kernel.filters] == [(5,), (2,), (5,)]
+        assert [list(bits(f.kernel)) for f in kernel.filters] == [[5], [2], [5]]
 
     def test_all_entries_are_ultrafilters_on_support(self, s1, s2):
         from liftlab.filter_calculus import is_ultrafilter
@@ -326,7 +359,7 @@ class TestKernelFromLifting:
         # the lifting fixes only the whole space, so every point sees the
         # principal filter at that unique basis minimum
         assert lift.table[sp.full_mask] == sp.full_mask
-        assert all(f.kernel_elements() == (sp.full_mask,) for f in kernel.filters)
+        assert all(f.kernel == 1 << sp.full_mask for f in kernel.filters)
 
 
 class TestRoundTrips:

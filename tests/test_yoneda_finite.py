@@ -9,7 +9,7 @@ from liftlab.filter_calculus import (is_ultrafilter, limit_along,
                                      principal_ultrafilter, trivial_filter)
 from liftlab.lebesgue_diff import kernel_from_lifting, lower_density_from_kernel
 from liftlab.measure_algebra import SetTransform
-from liftlab.measure_space import averageable_sets
+from liftlab.measure_space import averageable_code, averageable_sets
 from liftlab.yoneda_finite import (ProbeFamily, TauCandidate,
                                    adjunction_bijection, all_functions,
                                    beta_space, compose,
@@ -21,8 +21,9 @@ from liftlab.verdict import CapacityError, Verdict
 LAMBDA_A = (0, 5, 2, 7, 0, 5, 2, 7)
 
 
-def delta_kernel(z_ground, points):
-    return tuple(principal_ultrafilter(z_ground, p) for p in points)
+def delta_kernel(z_len, points):
+    """The principal ultrafilters at ``points`` of Z = range(z_len)."""
+    return tuple(principal_ultrafilter((1 << z_len) - 1, p) for p in points)
 
 
 def _loop_is_natural(tau, morphisms=all_functions):
@@ -94,15 +95,14 @@ def _plain_order(z_len, sizes):
 
 
 def _limit_value(filters, fn):
-    """The output at ``fn`` taken literally: its limit along each filter."""
-    z_index = {e: i for i, e in enumerate(filters[0].ground)}
-    return tuple(limit_along(f, lambda e: fn[z_index[e]]) for f in filters)
+    """The output at ``fn`` taken literally: its limit along each filter.
+    Z is range(n), so the input's value at element e is ``fn[e]``."""
+    return tuple(limit_along(f, lambda e: fn[e]) for f in filters)
 
 
 def _kernel_candidates(z_len, x_count):
-    z = tuple(range(z_len))
-    return [tau_from_kernel(delta_kernel(z, points), default_probes(z_len))
-            for points in product(z, repeat=x_count)]
+    return [tau_from_kernel(delta_kernel(z_len, points), default_probes(z_len))
+            for points in product(range(z_len), repeat=x_count)]
 
 
 def _with_entry(tau, s, fn, out):
@@ -115,46 +115,41 @@ def _with_entry(tau, s, fn, out):
 
 class TestBetaSpace:
     def test_point_count(self):
-        assert len(beta_space((1, 2))) == 2
+        assert len(beta_space(0b110)) == 2
 
     def test_delta_bijective_on_s1_ground(self, s1):
-        ground = averageable_sets(s1)
-        points = beta_space(ground)
+        points = beta_space(averageable_code(s1))
         assert len(points) == 6
         assert len({p.kernel for p in points}) == 6
 
     def test_empty_ground_rejected(self):
         with pytest.raises(ValueError):
-            beta_space(())
+            beta_space(0)
 
 
 class TestTauFromKernel:
     def test_constant_kernel_gives_constant_assignment(self):
-        z = (0, 1, 2)
         probes = default_probes(3)
-        tau = tau_from_kernel(delta_kernel(z, (1, 1)), probes)
+        tau = tau_from_kernel(delta_kernel(3, (1, 1)), probes)
         for s in probes.sizes:
             for fn in all_functions(3, s):
                 assert tau.value(s, fn) == (fn[1], fn[1])
 
     def test_requires_ultrafilters(self):
-        z = (0, 1)
         with pytest.raises(ValueError, match="ultrafilter"):
-            tau_from_kernel((trivial_filter(z), ), default_probes(2))
+            tau_from_kernel((trivial_filter(0b11), ), default_probes(2))
 
     def test_output_is_natural_for_every_kernel(self):
-        z = (0, 1, 2)
         probes = default_probes(3)
-        for points in product(z, repeat=2):
-            tau = tau_from_kernel(delta_kernel(z, points), probes)
+        for points in product(range(3), repeat=2):
+            tau = tau_from_kernel(delta_kernel(3, points), probes)
             assert is_natural(tau)
 
     @pytest.mark.parametrize("z_len,x_count", [(3, 2), (4, 1)])
     def test_rows_are_the_limits_along_the_kernel(self, z_len, x_count):
-        z = tuple(range(z_len))
         probes = default_probes(z_len)
-        for points in product(z, repeat=x_count):
-            kernel = delta_kernel(z, points)
+        for points in product(range(z_len), repeat=x_count):
+            kernel = delta_kernel(z_len, points)
             tau = tau_from_kernel(kernel, probes)
             for s in probes.sizes:
                 for fn in all_functions(z_len, s):
@@ -191,16 +186,15 @@ class TestTauCandidate:
 
 class TestKernelFromTau:
     def test_recovers_the_kernel(self):
-        z = ("p", "q")
         probes = default_probes(2)
-        for points in product(z, repeat=2):
-            kernel = delta_kernel(z, points)
+        for points in product(range(2), repeat=2):
+            kernel = delta_kernel(2, points)
             assert kernel_from_tau(tau_from_kernel(kernel, probes)) == kernel
 
     def test_requires_the_ultrafilter_probe(self):
         z = (0, 1, 2)
         probes = default_probes(3)
-        tau = tau_from_kernel(delta_kernel(z, (0,)), probes)
+        tau = tau_from_kernel(delta_kernel(3, (0,)), probes)
         small = ProbeFamily((1, 2))
         clipped = TauCandidate(z, 1, small,
                                {s: tau.rows[s] for s in small.sizes})
@@ -373,9 +367,9 @@ class TestYonedaRoundtrip:
         original = yf.kernel_from_tau
 
         def off_by_one(tau):
-            z = tau.z_ground
-            return tuple(principal_ultrafilter(z, z[(z.index(f.kernel_elements()[0]) + 1)
-                                                   % len(z)])
+            # the kernel bit of point i is 1 << i; move it to point i + 1
+            z_len = len(tau.z_ground)
+            return tuple(principal_ultrafilter(f.ground, f.kernel.bit_length() % z_len)
                          for f in original(tau))
 
         monkeypatch.setattr(yf, "kernel_from_tau", off_by_one)
@@ -435,8 +429,7 @@ class TestSearchFaults:
             return _with_entry(tau, 2, (0, 0, 0), tuple(1 - v for v in out))
 
         monkeypatch.setattr(yf, "tau_from_kernel", corrupted)
-        z = (0, 1, 2)
-        assert not is_natural(corrupted(delta_kernel(z, (0,) * x_size),
+        assert not is_natural(corrupted(delta_kernel(3, (0,) * x_size),
                                         default_probes(3)))
         report = yoneda_roundtrip(3, x_size)
         assert report.candidate_count == 3 ** x_size and report.bijection_ok
@@ -453,17 +446,22 @@ class TestCrossModuleAgreement:
         lifting = SetTransform(s1, LAMBDA_A)
         kernel = kernel_from_lifting(s1, lifting)
         density = lower_density_from_kernel(s1, kernel)
+        # Z is range(8), every set mask of s1; the kernel's filters live on
+        # its averageable members and never read the sets 0 and 0b100
+        z_len = s1.full_mask + 1
         ground = averageable_sets(s1)
         probes = ProbeFamily((1, 2))
         tau = tau_from_kernel(kernel.filters, probes)
+        assert len(tau.z_ground) == z_len
         from liftlab.measure_space import indicator
         from liftlab.lebesgue_diff import lebesgue_transform
         for s in probes.sizes:
-            for fn in all_functions(len(ground), s):
+            for fn in all_functions(z_len, s):
                 assert tau.value(s, fn) == _limit_value(kernel.filters, fn)
         for q in range(s1.full_mask + 1):
             lam = lebesgue_transform(s1, indicator(s1, q))
-            profile = tuple(1 if lam(z) == 1 else 0 for z in ground)
+            profile = tuple(1 if z in ground and lam(z) == 1 else 0
+                            for z in range(z_len))
             picked = tau.value(2, profile)
             mask = sum(1 << x for x in range(s1.n) if picked[x] == 1)
             assert mask == density.table[q]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from math import comb
 
 from . import __version__, partial_magma
@@ -296,6 +295,8 @@ def run_check(name: str, seed: int = 0) -> dict:
 def run_suite(seed: int = 0, quick: bool = False, parallel: int = 1) -> dict:
     names = [n for n, (_, heavy) in CHECKS.items() if not (quick and heavy)]
     if parallel > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(parallel, len(names))) as pool:
             results = list(pool.map(run_check, names, [seed] * len(names)))
     else:

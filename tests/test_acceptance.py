@@ -223,9 +223,14 @@ def test_criterion_10_determinism_and_wallclock():
     assert _digest(first) == REPORT_DIGESTS[("--format", "json")]
 
 
-@pytest.mark.parametrize("args", [("--format", "text"), ("--format", "json", "--quick")],
-                         ids=["text", "json_quick"])
-def test_report_bytes_match_the_pinned_digest(args):
+# json_parallel runs every check of the full battery, interchange_n3 and
+# s1_lifting_oracle included, in a worker; it must give the serial bytes
+@pytest.mark.parametrize("args, pinned", [
+    (("--format", "text"), ("--format", "text")),
+    (("--format", "json", "--quick"), ("--format", "json", "--quick")),
+    (("--format", "json", "--parallel", "2"), ("--format", "json")),
+], ids=["text", "json_quick", "json_parallel"])
+def test_report_bytes_match_the_pinned_digest(args, pinned):
     result = CliRunner().invoke(cli_main, ["report", *args, "--seed", "0"])
     assert result.exit_code == 0
-    assert _digest(result) == REPORT_DIGESTS[args]
+    assert _digest(result) == REPORT_DIGESTS[pinned]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -272,6 +273,27 @@ class TestExceptionBoundary:
                   "assert report['all_pass'] is True\n"
                   "assert 'interchange_n3' in [c['name'] for c in report['checks']]\n"
                   "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=_source_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_serial_runs_leave_the_process_pool_unimported(self):
+        # the pool's import loads 36 standard-library modules (about 2 MB
+        # of RSS and 20-30 ms of start-up) that only `report --parallel` uses
+        script = ("import sys\n"
+                  "from click.testing import CliRunner\n"
+                  "import liftlab.cli\n"
+                  "from liftlab.suite import run_suite\n"
+                  "result = CliRunner().invoke(liftlab.cli.main, ['report', '--quick'])\n"
+                  "assert result.exit_code == 0, result.output\n"
+                  "serial = run_suite(quick=True)\n"
+                  "pool_modules = ['concurrent.futures.process', 'multiprocessing',\n"
+                  "                'socket', 'pickle']\n"
+                  "loaded = [m for m in pool_modules if m in sys.modules]\n"
+                  "assert not loaded, f'serial run imported {loaded}'\n"
+                  "fanned = run_suite(quick=True, parallel=2)\n"
+                  "assert 'concurrent.futures.process' in sys.modules\n"
+                  "assert fanned == serial\n")
         proc = subprocess.run([sys.executable, "-c", script], env=_source_env(),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
@@ -552,7 +574,9 @@ class TestReport:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(liftlab.suite, "ProcessPoolExecutor", InlinePool)
+        # run_suite imports the pool only when it fans out, so patch the
+        # name that import reads
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(liftlab.suite, "CHECKS", {
             name: (lambda seed: {"pass": True}, False) for name in ("one", "two", "three")})
         result = liftlab.suite.run_suite(parallel=parallel)

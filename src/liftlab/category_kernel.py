@@ -1,6 +1,7 @@
 """Finite categories as regular partial magmas, arrows only.
 
-A category is stored as its arrow magma; the objects are the units.  Twin
+A category is stored as its arrow magma; ``classify`` decides its objects
+(the units) and each arrow's dom and cod (its pins).  Twin
 arrows (commuting squares) make the arrows of one category the objects of
 another, and a transformation between two functors can be encoded either
 arrow-indexed (a homomorphism into twin arrows under horizontal
@@ -25,10 +26,10 @@ ENUMERATION_CAP = 10_000_000
 
 @dataclass(frozen=True)
 class FiniteCategory:
-    """Arrows-only category: a regular partial magma plus optional labels."""
+    """Arrows-only category: a regular partial magma, with objects, dom and
+    cod read from its classification."""
 
     pm: PartialMagma
-    labels: tuple[str, ...] | None = None
     objects: tuple[int, ...] = field(init=False, compare=False, repr=False)
     position: dict[int, int] = field(init=False, compare=False, repr=False)
     dom: tuple[int, ...] = field(init=False, compare=False, repr=False)
@@ -45,17 +46,11 @@ class FiniteCategory:
             if not c.fastened:
                 detail.append(f"not fastened (witness {c.fastened_witness})")
             raise ValueError("not a category: " + "; ".join(detail))
-        if self.labels is not None and len(self.labels) != self.pm.n:
-            raise ValueError("need one label per arrow")
-        dom = []
-        cod = []
-        for x in range(self.pm.n):
-            dom.append(next(u for u in c.units if self.pm.defined(x, u)))
-            cod.append(next(u for u in c.units if self.pm.defined(u, x)))
+        dom, cod = zip(*c.pins)
         object.__setattr__(self, "objects", c.units)
         object.__setattr__(self, "position", {u: i for i, u in enumerate(c.units)})
-        object.__setattr__(self, "dom", tuple(dom))
-        object.__setattr__(self, "cod", tuple(cod))
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
 
     @property
     def arrows(self) -> tuple[int, ...]:
@@ -64,13 +59,10 @@ class FiniteCategory:
     def compose(self, x: int, y: int) -> int | None:
         return self.pm.op(x, y)
 
-    def label(self, x: int) -> str:
-        return self.labels[x] if self.labels else str(x)
 
-
-def cat_from_rpm(pm: PartialMagma, labels=None) -> FiniteCategory:
+def cat_from_rpm(pm: PartialMagma) -> FiniteCategory:
     """Read a regular partial magma as a category (objects = units)."""
-    return FiniteCategory(pm, tuple(labels) if labels else None)
+    return FiniteCategory(pm)
 
 
 def hom_set(cat: FiniteCategory, u: int, v: int) -> tuple[int, ...]:
@@ -121,13 +113,18 @@ class TwinCategoryResult:
 
 def twin_category(cat: FiniteCategory) -> TwinCategoryResult:
     """The category whose objects are the arrows of ``cat`` and whose
-    arrows are twin arrows, composed by vertical multiplication."""
+    arrows are twin arrows, composed by vertical multiplication.  Its n
+    twin arrows are counted first: reading the table as a category checks
+    n^3 triples, so n^3 above ``ENUMERATION_CAP`` raises ``CapacityError``."""
     data: list[TwinArrow] = []
     for x in cat.arrows:
         for y in cat.arrows:
             data.extend(twin_hom_cases(cat, x, y))
-    index = {t: i for i, t in enumerate(data)}
     n = len(data)
+    if n ** 3 > ENUMERATION_CAP:
+        raise CapacityError(f"twin category too large: {n} twin arrows give {n ** 3} "
+                            f"associativity triples, over the cap of {ENUMERATION_CAP}")
+    index = {t: i for i, t in enumerate(data)}
     table = [[None] * n for _ in range(n)]
     for i, a in enumerate(data):
         for j, b in enumerate(data):
@@ -140,11 +137,7 @@ def twin_category(cat: FiniteCategory) -> TwinCategoryResult:
             if result not in index:
                 raise InternalCheckError("twin composition left the twin arrows")
             table[i][j] = index[result]
-    labels = tuple(
-        f"({cat.label(t.pair[0])},{cat.label(t.pair[1])}):"
-        f"{cat.label(t.source)}=>{cat.label(t.target)}"
-        for t in data)
-    twin_cat = cat_from_rpm(build_pm(n, table), labels)
+    twin_cat = cat_from_rpm(build_pm(n, table))
     if len(twin_cat.objects) != cat.pm.n:
         raise InternalCheckError("twin category has the wrong object count")
     return TwinCategoryResult(twin_cat, tuple(data))
@@ -165,26 +158,6 @@ class Functor:
 
     def __call__(self, x: int) -> int:
         return self.arrow_map[x]
-
-
-def validate_functor(f: Functor) -> Verdict:
-    from .partial_magma import is_pm_hom
-
-    if len(f.arrow_map) != f.source.pm.n:
-        return Verdict.fail(None, "arrow map has the wrong length")
-    v = is_pm_hom(f.arrow_map, f.source.pm, f.target.pm, unital=True)
-    if not v:
-        return v
-    for x in f.source.arrows:
-        if f.target.dom[f(x)] != f(f.source.dom[x]):
-            return Verdict.fail(x, "domain not preserved")
-        if f.target.cod[f(x)] != f(f.source.cod[x]):
-            return Verdict.fail(x, "codomain not preserved")
-    return Verdict.ok()
-
-
-def identity_functor(cat: FiniteCategory) -> Functor:
-    return Functor(cat, cat, tuple(cat.arrows))
 
 
 def enumerate_functors(c: FiniteCategory, d: FiniteCategory) -> tuple[Functor, ...]:
@@ -473,6 +446,6 @@ def named_magmas() -> dict[str, PartialMagma]:
 
 def named_categories() -> dict[str, FiniteCategory]:
     """The one-object, discrete-two, single-arrow, triangle, and square
-    categories, with readable arrow labels."""
-    return {name: cat_from_rpm(*matrix_magma(shapes))
+    categories; ``matrix_magma(NAMED_SHAPES[name])[1]`` names their arrows."""
+    return {name: cat_from_rpm(matrix_magma(shapes)[0])
             for name, shapes in NAMED_SHAPES.items()}

@@ -56,11 +56,6 @@ class Filter:
         return self.kernel & ~member == 0
 
 
-def trivial_filter(ground: int) -> Filter:
-    """The smallest filter: only the whole ground belongs to it."""
-    return Filter(ground, ground)
-
-
 def principal_ultrafilter(ground: int, q: int) -> Filter:
     return Filter(ground, 1 << q)
 

@@ -2,10 +2,11 @@
 
 Elements are integer indices 0..n-1; an operation table entry of None
 means the product is undefined.  The classification predicates (units,
-associativity, fastening, regularity) are evaluated exhaustively and
-failures carry minimal witnesses.  Pairs of elements carry two extra
-partial products: horizontal multiplication (middle-erasing) and vertical
-(componentwise) multiplication, related by the interchange law.
+associativity, fastening, regularity, and a regular magma's pins) are
+evaluated exhaustively and failures carry minimal witnesses.  Pairs of
+elements carry two extra partial products: horizontal multiplication
+(middle-erasing) and vertical (componentwise) multiplication, related by
+the interchange law.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .verdict import InternalCheckError, Verdict
 
@@ -75,6 +76,7 @@ class PMClassification:
     regular: bool
     total: bool
     monoid: bool
+    pins: tuple[tuple[int, int], ...] | None  # (dom, cod) when regular; not in to_dict
 
     def to_dict(self) -> dict:
         return {
@@ -107,34 +109,33 @@ def _associativity(pm: PartialMagma) -> tuple[bool, tuple | None]:
     return True, None
 
 
-def _fastening(pm: PartialMagma, us: tuple[int, ...]) -> tuple[bool, tuple | None]:
-    for x in range(pm.n):
-        if not any(pm.defined(u, x) for u in us):
-            return False, (x, "left")
-        if not any(pm.defined(x, u) for u in us):
-            return False, (x, "right")
-    return True, None
-
-
 def classify(pm: PartialMagma) -> PMClassification:
-    """Exhaustive classification; regular magmas also get the chain rule
-    re-verified (its failure would be an internal error)."""
+    """Exhaustive classification.  One pass gives each element x its unit
+    sides, the units u with x.u defined and those with u.x defined.
+    Fastening needs both nonempty (the witness is the first x with no unit
+    on its left, or else on its right).  On a regular magma each side is
+    one unit, the pin (dom x, cod x), and the chain rule (x.z defined iff
+    dom x = cod z) is re-verified; its failure would be an internal error."""
     us = units(pm)
-    unital = len(us) > 0
+    sides = [([u for u in us if pm.defined(x, u)], [u for u in us if pm.defined(u, x)])
+             for x in range(pm.n)]
+    fw = next(((x, "right" if cods else "left") for x, (doms, cods) in enumerate(sides)
+               if not doms or not cods), None)
     associative, aw = _associativity(pm)
-    if unital:
-        fastened, fw = _fastening(pm, us)
-    else:
-        fastened, fw = (pm.n == 0), None if pm.n == 0 else (0, "left")
-    regular = unital and associative and fastened
-    total = all(pm.defined(x, y) for x in range(pm.n) for y in range(pm.n))
-    monoid = regular and len(us) == 1
+    regular = bool(us) and associative and fw is None
+    pins = None
     if regular:
-        v = verify_chain_rule(pm)
-        if not v:
-            raise InternalCheckError(f"chain rule fails on a regular magma: {v.witness}")
-    return PMClassification(us, unital, associative, aw, fastened, fw,
-                            regular, total, monoid)
+        bad = next((x for x, (doms, cods) in enumerate(sides)
+                    if len(doms) != 1 or len(cods) != 1), None)
+        if bad is None:
+            pins = tuple((doms[0], cods[0]) for doms, cods in sides)
+            bad = next(((x, z) for x, z in product(range(pm.n), repeat=2)
+                        if pm.defined(x, z) != (pins[x][0] == pins[z][1])), None)
+        if bad is not None:
+            raise InternalCheckError(f"chain rule fails on a regular magma: {bad}")
+    total = all(pm.defined(x, y) for x in range(pm.n) for y in range(pm.n))
+    return PMClassification(us, bool(us), associative, aw, fw is None, fw,
+                            regular, total, regular and len(us) == 1, pins)
 
 
 def hmul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int] | None:
@@ -301,49 +302,6 @@ def interchange_sweep(n: int = 3) -> SweepReport:
     return SweepReport(tables, n ** 8, both_defined, violations)
 
 
-def verify_chain_rule(pm: PartialMagma) -> Verdict:
-    """Exhaustively: a product is defined iff the pins match."""
-    us = units(pm)
-    pins = {}
-    for x in range(pm.n):
-        doms = [u for u in us if pm.defined(x, u)]
-        cods = [u for u in us if pm.defined(u, x)]
-        if len(doms) != 1 or len(cods) != 1:
-            return Verdict.fail(x, "pin not unique")
-        pins[x] = (doms[0], cods[0])
-    for x in range(pm.n):
-        for z in range(pm.n):
-            if pm.defined(x, z) != (pins[x][0] == pins[z][1]):
-                return Verdict.fail((x, z), "definedness disagrees with the pins")
-    return Verdict.ok()
-
-
-def is_pm_hom(f, source: PartialMagma, target: PartialMagma,
-              unital: bool = False) -> Verdict:
-    """Homomorphism check: defined products map to defined products with
-    matching values; with ``unital``, units also map to units."""
-    fmap: Callable[[int], int] = f if callable(f) else (lambda x: f[x])
-    for x in range(source.n):
-        if not 0 <= fmap(x) < target.n:
-            return Verdict.fail(x, "image out of range")
-    for x in range(source.n):
-        for y in range(source.n):
-            xy = source.op(x, y)
-            if xy is None:
-                continue
-            img = target.op(fmap(x), fmap(y))
-            if img is None:
-                return Verdict.fail((x, y), "image product undefined")
-            if img != fmap(xy):
-                return Verdict.fail((x, y), "image product has the wrong value")
-    if unital:
-        target_units = set(units(target))
-        for u in units(source):
-            if fmap(u) not in target_units:
-                return Verdict.fail(u, "unit not sent to a unit")
-    return Verdict.ok()
-
-
 def single_unit_totality(c: PMClassification) -> Verdict:
     """On a regular magma, given its classification: exactly one unit iff
     the operation is total.
@@ -369,7 +327,7 @@ def matrix_magma(dims: Sequence[tuple[int, int]]) -> tuple[PartialMagma, tuple[s
     """Rectangular 0/1 diagonal matrices of the given shapes, under actual
     matrix multiplication restricted to the carrier.
 
-    Returns the magma and a label per element ("I2" for square shapes,
+    Returns the magma and a name per element ("I2" for square shapes,
     "A32" for a 3-by-2)."""
     shapes = [tuple(d) for d in dims]
     if len(set(shapes)) != len(shapes):
@@ -393,8 +351,8 @@ def matrix_magma(dims: Sequence[tuple[int, int]]) -> tuple[PartialMagma, tuple[s
             prod_mat = matmul(mats[i], mats[j])
             if prod_mat in by_value:
                 table[i][j] = by_value[prod_mat]
-    labels = tuple(f"I{r}" if r == c else f"A{r}{c}" for r, c in shapes)
-    return build_pm(n, table), labels
+    names = tuple(f"I{r}" if r == c else f"A{r}{c}" for r, c in shapes)
+    return build_pm(n, table), names
 
 
 class RegularBuild(NamedTuple):

@@ -14,6 +14,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
+from liftlab.category_kernel import named_magmas
 from liftlab.cli import main as cli_main
 from liftlab.filter_calculus import (base_generation_oracle,
                                      principality_oracle)
@@ -207,6 +208,58 @@ def _digest(result) -> str:
     return hashlib.sha256(result.stdout_bytes).hexdigest()
 
 
+def _relabelled(pm, perm) -> list:
+    """The table of ``pm`` with element i renamed perm[i]."""
+    out = [[None] * pm.n for _ in range(pm.n)]
+    for x in range(pm.n):
+        for y in range(pm.n):
+            xy = pm.op(x, y)
+            out[perm[x]][perm[y]] = None if xy is None else perm[xy]
+    return out
+
+
+#: Input documents of the pinned commands: M6 (the category 3) and MSQ (the
+#: square) relabelled so that their units are not listed first, truncated
+#: subtraction, and the null monoid on four elements (0 is the unit, every
+#: product of two non-units is 1).
+COMMAND_DOCUMENTS = {
+    "m6": {"kind": "partial_magma", "n": 6,
+           "table": _relabelled(named_magmas()["M6"], [4, 1, 3, 2, 5, 0])},
+    "nat_sub": {"kind": "partial_magma", "n": 4,
+                "table": _relabelled(named_magmas()["nat_sub"], range(4))},
+    "sq": {"kind": "category", "n": 9,
+           "table": _relabelled(named_magmas()["MSQ"], [2, 1, 8, 6, 4, 5, 3, 7, 0])},
+    "null4": {"kind": "category", "n": 4,
+              "table": [[y if x == 0 else x if y == 0 else 1 for y in range(4)]
+                        for x in range(4)]},
+}
+
+#: sha256 of stdout per command line, as ``REPORT_DIGESTS``; "-" reads the
+#: named document from stdin.
+COMMAND_DIGESTS = {
+    ("pm", "classify", "-", "m6", "json"):
+        "e849ea17f3e6cf983cfcc36151920206bc10bf950d5e196f5fad8156c89ecb05",
+    ("pm", "classify", "-", "m6", "text"):
+        "f7534ed0b77093c861189dc5cc43e288c335e1c2a4115fa4e021128cb3b252b2",
+    ("pm", "classify", "-", "nat_sub", "json"):
+        "82745cc1c3d73ae835eb42007e04ad98185c983d9e36dbb61b3cc358be5c7761",
+    ("pm", "classify", "-", "nat_sub", "text"):
+        "a414255109cdc7f3d250b61804a17cff173a59814e1c80612625f46f059b3e11",
+    ("cat", "twin", "-", "--max-elems", "9", "sq", "json"):
+        "debc9df08050d8d7dd7b3b0393c261ebf5312d974637cae5290a6a0645e1f733",
+    ("cat", "twin", "-", "--max-elems", "9", "sq", "text"):
+        "096b4068635f5a4fc5b8d9050a99bc2b1355309bf409ba93f96519d172d5f8d9",
+    ("cat", "twin", "-", "null4", "json"):
+        "cfc1c90dd1deecb577f12ef3f1d96924228da76f7173d3db4951cd8cf305c84b",
+    ("cat", "twin", "-", "null4", "text"):
+        "766049af3b9665b9cbb53c763bf74a868577cdf739200c393b88e97852d311a0",
+    ("cat", "natequiv", "--source", "3", "--target", "SQ", None, "json"):
+        "765d3d70283a1defd47faef5dbc3c6459d190ad7a3d229355a90255997a3d297",
+    ("cat", "natequiv", "--source", "3", "--target", "SQ", None, "text"):
+        "1b1400f582d9ac2c9055825afdbf2413f1516bcd45c33488668a3da5363c1894",
+}
+
+
 def test_criterion_10_determinism_and_wallclock():
     start = time.monotonic()
     runner = CliRunner()
@@ -234,3 +287,13 @@ def test_report_bytes_match_the_pinned_digest(args, pinned):
     result = CliRunner().invoke(cli_main, ["report", *args, "--seed", "0"])
     assert result.exit_code == 0
     assert _digest(result) == REPORT_DIGESTS[pinned]
+
+
+@pytest.mark.parametrize("key", list(COMMAND_DIGESTS),
+                         ids=lambda key: f"{key[1]}_{key[-2] or '3_SQ'}_{key[-1]}")
+def test_command_bytes_match_the_pinned_digest(key):
+    *args, document, fmt = key
+    stdin = json.dumps(COMMAND_DOCUMENTS[document]) if document else None
+    result = CliRunner().invoke(cli_main, [*args, "--format", fmt], input=stdin)
+    assert result.exit_code == 0
+    assert _digest(result) == COMMAND_DIGESTS[key]

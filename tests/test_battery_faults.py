@@ -43,7 +43,7 @@ def wrap(monkeypatch, module, name, fault):
 
 
 def _whole_ground_kernel(real, ground, base):
-    return filter_calculus.trivial_filter(ground)
+    return filter_calculus.Filter(ground, ground)
 
 
 def _empty_set_not_fixed(real, space, g):
@@ -54,7 +54,7 @@ def _empty_set_not_fixed(real, space, g):
 def _trivial_kernel(real, space, lifting):
     ground = measure_space.averageable_code(space)
     return lebesgue_diff.FilterKernel(
-        space, (filter_calculus.trivial_filter(ground),) * space.n)
+        space, (filter_calculus.Filter(ground, ground),) * space.n)
 
 
 def _limit_off_by_one(real, f, lam):

@@ -4,23 +4,25 @@ from itertools import product
 import pytest
 
 import liftlab.category_kernel as category_kernel
-from liftlab.category_kernel import (ENUMERATION_CAP, FiniteCategory, Functor,
-                                     NatHom, NatTrans, TwinArrow, cat_from_rpm,
-                                     compose_nat, enumerate_functors,
+from liftlab.category_kernel import (ENUMERATION_CAP, NAMED_SHAPES, FiniteCategory,
+                                     Functor, NatHom, NatTrans, TwinArrow,
+                                     cat_from_rpm, compose_nat, enumerate_functors,
                                      enumerate_nat_homs, enumerate_nat_trans,
                                      functor_category, hom_from_nat, hom_set,
-                                     identity_functor, identity_nat_hom,
-                                     named_categories, named_magmas,
-                                     nat_from_hom, twin_category, twin_hom_cases,
-                                     validate_functor, validate_nat_hom,
+                                     identity_nat_hom, named_categories,
+                                     named_magmas, nat_from_hom, twin_category,
+                                     twin_hom_cases, validate_nat_hom,
                                      validate_nat_trans)
-from liftlab.partial_magma import build_pm, is_pm_hom, regular_tables, units
+from liftlab.partial_magma import build_pm, matrix_magma, regular_tables, units
 import liftlab.suite as suite
 from liftlab.suite import natequiv_report, run_check
-from liftlab.verdict import CapacityError, InternalCheckError
+from liftlab.verdict import CapacityError, InternalCheckError, Verdict
+from test_partial_magma import is_pm_hom
 
 
 CATS = named_categories()
+#: The arrow names of each named category ("A31" is the 3-by-1 arrow).
+NAMES = {name: matrix_magma(shapes)[1] for name, shapes in NAMED_SHAPES.items()}
 
 
 class TestNamedCategories:
@@ -35,7 +37,7 @@ class TestNamedCategories:
 
     def test_square_commutes(self):
         sq = CATS["SQ"]
-        lab = sq.labels
+        lab = NAMES["SQ"]
         a21, a32, a31 = lab.index("A21"), lab.index("A32"), lab.index("A31")
         a41, a34 = lab.index("A41"), lab.index("A34")
         assert sq.compose(a32, a21) == a31 == sq.compose(a34, a41)
@@ -55,8 +57,8 @@ class TestCatRpmRoundtrip:
     def test_swapped_pins_fail_the_report_check(self, monkeypatch, named):
         # one arrow with dom and cod swapped; without the named shapes the
         # regular magmas alone must catch it
-        def swapped(pm, labels=None):
-            c = cat_from_rpm(pm, labels)
+        def swapped(pm):
+            c = cat_from_rpm(pm)
             x = next((x for x in c.arrows if c.dom[x] != c.cod[x]), None)
             if x is not None:
                 dom, cod = list(c.dom), list(c.cod)
@@ -114,7 +116,7 @@ class TestHomSets:
 
     def test_triangle_composite_hom(self):
         three = CATS["3"]
-        assert hom_set(three, 0, 2) == (three.labels.index("A31"),)
+        assert hom_set(three, 0, 2) == (NAMES["3"].index("A31"),)
 
     def test_hom_sets_partition_the_arrows(self):
         for c in CATS.values():
@@ -152,6 +154,27 @@ class TestTwinCategory:
                 doubled = twin_hom_cases(three, u, v)
                 assert {t.pair for t in doubled} == {(x, x) for x in plain}
 
+    def test_small_categories_have_twins_under_the_cap(self):
+        sizes = [twin_category(c).category.pm.n for c in CATS.values()]
+        assert max(sizes) == 36  # the square
+        sizes = [twin_category(cat_from_rpm(pm)).category.pm.n
+                 for n in (1, 2, 3) for pm in regular_tables(n)]
+        assert max(sizes) == 41 and max(sizes) ** 3 <= ENUMERATION_CAP
+
+    @pytest.mark.parametrize("n, twin_arrows", [(4, 130), (5, 337), (8, 2626)])
+    def test_null_monoid_twins_past_the_cap_are_refused(self, n, twin_arrows):
+        # the null monoid: 0 is the unit, and every product of two
+        # non-units is 1; its twin arrows are counted, never tabulated
+        cat = cat_from_rpm(build_pm(n, [[y if x == 0 else x if y == 0 else 1
+                                         for y in range(n)] for x in range(n)]))
+        if twin_arrows ** 3 <= ENUMERATION_CAP:
+            assert twin_category(cat).category.pm.n == twin_arrows
+            return
+        started = time.monotonic()
+        with pytest.raises(CapacityError, match=f"{twin_arrows} twin arrows"):
+            twin_category(cat)
+        assert time.monotonic() - started < 5
+
     def test_identity_twin_arrows_are_pin_pairs(self):
         three = CATS["3"]
         tw = twin_category(three)
@@ -168,14 +191,14 @@ class TestTwinHomCases:
 
     def test_object_to_arrow_fixture(self):
         three = CATS["3"]
-        a32 = three.labels.index("A32")
+        a32 = NAMES["3"].index("A32")
         cases = twin_hom_cases(three, 0, a32)
-        assert [t.pair for t in cases] == [(three.labels.index("A21"),
-                                            three.labels.index("A31"))]
+        assert [t.pair for t in cases] == [(NAMES["3"].index("A21"),
+                                            NAMES["3"].index("A31"))]
 
     def test_mismatched_endpoints_empty(self):
         three = CATS["3"]
-        a21 = three.labels.index("A21")
+        a21 = NAMES["3"].index("A21")
         assert twin_hom_cases(three, a21, 0) == ()
 
     def test_object_source_case_formula(self):
@@ -200,6 +223,22 @@ class TestTwinHomCases:
                                 for z2 in hom_set(c, c.cod[x], v)}
                     got = {t.pair for t in twin_hom_cases(c, x, v)}
                     assert got == expected
+
+
+def validate_functor(f: Functor) -> Verdict:
+    """The functor laws as defined: a unital homomorphism of the arrow
+    magmas that keeps every dom and cod."""
+    if len(f.arrow_map) != f.source.pm.n:
+        return Verdict.fail(None, "arrow map has the wrong length")
+    v = is_pm_hom(f.arrow_map, f.source.pm, f.target.pm, unital=True)
+    if not v:
+        return v
+    for x in f.source.arrows:
+        if f.target.dom[f(x)] != f(f.source.dom[x]):
+            return Verdict.fail(x, "domain not preserved")
+        if f.target.cod[f(x)] != f(f.source.cod[x]):
+            return Verdict.fail(x, "codomain not preserved")
+    return Verdict.ok()
 
 
 class TestFunctors:
@@ -373,7 +412,7 @@ class TestTwinPairCache:
 class TestTransformEncodings:
     def test_identity_nat_hom_extracts_identity_components(self):
         for c in (CATS["2"], CATS["3"]):
-            ident = identity_nat_hom(identity_functor(c))
+            ident = identity_nat_hom(Functor(c, c, c.arrows))
             tau = nat_from_hom(ident)
             assert tau.components == c.objects
 
@@ -381,13 +420,13 @@ class TestTransformEncodings:
         # source functor picks the first leg of the triangle, target picks
         # the composite; the unique transformation fills in the other leg
         c, d = CATS["2"], CATS["3"]
-        a21, a32, a31 = (d.labels.index(x) for x in ("A21", "A32", "A31"))
+        a21, a32, a31 = (NAMES["3"].index(x) for x in ("A21", "A32", "A31"))
         t = next(f for f in enumerate_functors(c, d) if f.arrow_map[2] == a21)
         s = next(f for f in enumerate_functors(c, d) if f.arrow_map[2] == a31)
         homs = enumerate_nat_homs(t, s)
         assert len(homs) == 1
         tau = nat_from_hom(homs[0])
-        assert tau.components == (d.labels.index("I1"), a32)
+        assert tau.components == (NAMES["3"].index("I1"), a32)
 
     def test_round_trips_both_ways(self):
         for cname, dname in (("1", "2"), ("2", "2"), ("2", "3"), ("3", "3")):
@@ -430,7 +469,7 @@ class TestTransformEncodings:
         c, d = CATS["2"], CATS["3"]
         t = next(f for f in enumerate_functors(c, d) if f.arrow_map[2] == 3)
         s = next(f for f in enumerate_functors(c, d)
-                 if f.arrow_map == (d.labels.index("I1"),) * 3)
+                 if f.arrow_map == (NAMES["3"].index("I1"),) * 3)
         # components must live in hom(t(u), s(u)); any full states that
         # fail the square are rejected
         for comps in product(d.arrows, repeat=2):

@@ -475,6 +475,22 @@ class TestCatCommands:
         assert result.exit_code == 1
         assert json.loads(result.stdout)["regular"] is False
 
+    def test_twin_past_the_cap_exits_2_within_seconds(self, runner, tmp_path):
+        # the null monoid on 8 elements (the default --max-elems): 0 is the
+        # unit and every product of two non-units is 1, which gives 2626
+        # twin arrows, too many triples to check for associativity
+        n = 8
+        doc = write(tmp_path, "null.json", {
+            "kind": "category", "n": n,
+            "table": [[y if x == 0 else x if y == 0 else 1 for y in range(n)]
+                      for x in range(n)]})
+        started = time.monotonic()
+        result = runner.invoke(main, ["cat", "twin", doc])
+        assert time.monotonic() - started < 5
+        assert result.exit_code == 2 and result.stdout == ""
+        assert result.stderr.startswith("input error: twin category too large: 2626")
+        assert result.stderr.count("\n") == 1
+
     def test_natequiv_flags(self, runner):
         result = runner.invoke(main, ["cat", "natequiv", "--source", "2",
                                       "--target", "3", "--format", "json"])

@@ -10,8 +10,7 @@ from liftlab.filter_calculus import (Filter, _filter_codes,
                                      filter_from_base, is_directed,
                                      is_ultrafilter, limit_along,
                                      principal_ultrafilter, principality_oracle,
-                                     tail_filter, trivial_filter,
-                                     ultrafilter_refine)
+                                     tail_filter, ultrafilter_refine)
 from liftlab.measure_space import (averageable_code, averageable_sets, bits,
                                    build_space)
 from liftlab.verdict import Verdict
@@ -26,7 +25,7 @@ class TestFilterConstruction:
 
     def test_whole_ground_base_gives_trivial_filter(self):
         f = filter_from_base(0b110, [0b110])
-        assert f == trivial_filter(0b110)
+        assert f == Filter(0b110, 0b110)
 
     def test_empty_intersection_rejected(self):
         with pytest.raises(ValueError, match="improper"):
@@ -40,7 +39,7 @@ class TestFilterConstruction:
         with pytest.raises(ValueError, match="improper"):
             Filter(0b110, 0)
 
-    @pytest.mark.parametrize("build", [lambda: Filter(-1, -1), lambda: trivial_filter(-2)])
+    @pytest.mark.parametrize("build", [lambda: Filter(-1, -1), lambda: Filter(-2, -2)])
     def test_negative_ground_rejected(self, build):
         # an infinite ground would leave ``bits`` of its kernel endless
         with pytest.raises(ValueError, match="non-negative elements"):
@@ -50,8 +49,8 @@ class TestFilterConstruction:
         lambda: Filter(0b110, 0b1000),
         lambda: Filter(0b110, -1),
         lambda: filter_from_base(0b110, [0b110, 0b1110]),
-        lambda: trivial_filter(0b110).contains(0b1000),
-        lambda: trivial_filter(0b110).contains(-2),
+        lambda: Filter(0b110, 0b110).contains(0b1000),
+        lambda: Filter(0b110, 0b110).contains(-2),
         # a kernel bit that the ground lacks, also a gap below its top bit
         lambda: Filter(0b1010, 0b0100),
         lambda: Filter(0b1010, 0b0011),
@@ -67,7 +66,7 @@ class TestUltrafilters:
         assert is_ultrafilter(principal_ultrafilter(0b110, 1))
 
     def test_trivial_on_two_points_is_refinable(self):
-        assert not is_ultrafilter(trivial_filter(0b110))
+        assert not is_ultrafilter(Filter(0b110, 0b110))
 
     def test_two_point_kernel_not_ultra(self):
         assert not is_ultrafilter(Filter(0b1110, 0b0110))
@@ -100,7 +99,7 @@ class TestUltrafilters:
 
 class TestDirectImage:
     def test_constant_map_gives_principal(self):
-        f = trivial_filter(0b111)
+        f = Filter(0b111, 0b111)
         img = direct_image(lambda _: 5, f, 0b110000)
         assert list(bits(img.kernel)) == [5]
 
@@ -110,7 +109,7 @@ class TestDirectImage:
         assert list(bits(img.kernel)) == [1] and img.ground == 0b1110
 
     def test_image_point_missing_from_target_rejected(self):
-        f = trivial_filter(0b11)
+        f = Filter(0b11, 0b11)
         with pytest.raises(ValueError, match="not a subset of the ground"):
             direct_image(lambda x: x + 1, f, 0b11)
 
@@ -302,7 +301,7 @@ def reference_base_generation_oracle(max_size=4):
 
 
 def _whole_ground_kernel(real, ground, base):
-    return trivial_filter(ground)
+    return Filter(ground, ground)
 
 
 def _lowest_kernel_bit_dropped(real, ground, base):

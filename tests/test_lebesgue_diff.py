@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 import liftlab.lebesgue_diff as leb
 import liftlab.measure_algebra as ma
 from liftlab.cli import main
-from liftlab.filter_calculus import (Filter, principal_ultrafilter,
-                                     tail_filter, trivial_filter)
+from liftlab.filter_calculus import Filter, principal_ultrafilter, tail_filter
 from liftlab.lebesgue_diff import (NOT_REACHED, FilterKernel,
                                    basis_from_lifting, differentiates,
                                    kernel_from_lifting, lebesgue_transform,
@@ -34,7 +33,7 @@ def lambda_a_kernel(s1):
 
 def trivial_kernel(space):
     ground = averageable_code(space)
-    return FilterKernel(space, tuple(trivial_filter(ground)
+    return FilterKernel(space, tuple(Filter(ground, ground)
                                      for _ in range(space.n)))
 
 
@@ -158,9 +157,9 @@ class TestFilterKernel:
 
     @pytest.mark.parametrize("foreign", [
         # every subset of the atoms, the empty and null-only sets included
-        lambda sp: trivial_filter((1 << sp.full_mask + 1) - 1),
+        lambda sp: Filter(every := (1 << sp.full_mask + 1) - 1, every),
         # the averageable sets of another space
-        lambda sp: trivial_filter(averageable_code(build_space([1, 1, 1]))),
+        lambda sp: Filter(other := averageable_code(build_space([1, 1, 1])), other),
         # one member, the set 0b100 that holds only the null atom
         lambda sp: principal_ultrafilter(averageable_code(sp) | 1 << N, N),
         # a tail filter not pushed onto the averageable sets: its ground is
@@ -168,7 +167,8 @@ class TestFilterKernel:
         lambda sp: tail_filter([sp.full_mask, A | B]),
     ], ids=["all_subsets", "other_space", "null_only_member", "family_ground"])
     def test_filter_on_another_ground_rejected(self, s1, foreign):
-        own = trivial_filter(averageable_code(s1))
+        ground = averageable_code(s1)
+        own = Filter(ground, ground)
         with pytest.raises(ValueError, match="must live on the averageable sets"):
             FilterKernel(s1, (own, foreign(s1), own))
 

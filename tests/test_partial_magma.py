@@ -7,14 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from liftlab import partial_magma
 from liftlab.category_kernel import cat_from_rpm
-from liftlab.partial_magma import (SweepReport, build_pm, classify,
+from liftlab.partial_magma import (PartialMagma, SweepReport, build_pm, classify,
                                    hmul, index_pair, interchange_check,
-                                   interchange_sweep, is_pm_hom, matrix_magma,
+                                   interchange_sweep, matrix_magma,
                                    nat_subtraction_magma, pair_index,
                                    regular_tables, single_unit_totality,
-                                   square_pm, twin_pm,
-                                   units, verify_chain_rule, vmul)
+                                   square_pm, twin_pm, units, vmul)
 from liftlab.suite import run_check
+from liftlab.verdict import InternalCheckError, Verdict
 
 
 def all_tables_array(n):
@@ -126,6 +126,32 @@ def regular_tables_oracle(n):
     idx, tables = unital_table_indices(n)
     pms = (pm_from_row(n, row) for row in tables[idx])
     return tuple(pm for pm in pms if classify(pm).regular)
+
+
+def is_pm_hom(f, source: PartialMagma, target: PartialMagma,
+              unital: bool = False) -> Verdict:
+    """Homomorphism check of the map x -> f[x]: defined products map to
+    defined products with matching values; with ``unital``, units also map
+    to units."""
+    for x in range(source.n):
+        if not 0 <= f[x] < target.n:
+            return Verdict.fail(x, "image out of range")
+    for x in range(source.n):
+        for y in range(source.n):
+            xy = source.op(x, y)
+            if xy is None:
+                continue
+            img = target.op(f[x], f[y])
+            if img is None:
+                return Verdict.fail((x, y), "image product undefined")
+            if img != f[xy]:
+                return Verdict.fail((x, y), "image product has the wrong value")
+    if unital:
+        target_units = set(units(target))
+        for u in units(source):
+            if f[u] not in target_units:
+                return Verdict.fail(u, "unit not sent to a unit")
+    return Verdict.ok()
 
 
 def m3():
@@ -419,14 +445,127 @@ class TestPins:
         assert pm.defined(0, 0) and cat.dom[0] == cat.cod[0]
 
     def test_chain_rule_exhaustive_on_regular_magmas(self):
-        for pm in regular_tables(2):
+        for pm in (*regular_tables(2), m3()[0], m6()[0], msq()[0], twin_pm(3)):
             assert verify_chain_rule(pm)
-        for pm in (m3()[0], m6()[0], msq()[0], twin_pm(3)):
-            assert verify_chain_rule(pm)
+            pins = classify(pm).pins
+            assert all(pm.defined(x, z) == (pins[x][0] == pins[z][1])
+                       for x, z in product(range(pm.n), repeat=2))
+
+    def test_chain_rule_failure_is_an_internal_error(self):
+        # a magma whose definedness lies about one product of two non-units
+        # (A32 after A21 in M6): units, fastening and associativity read
+        # other cells or ``op``, so only the chain rule sees it
+        pm, names = m6()
+        a32, a21 = names.index("A32"), names.index("A21")
+
+        class Lying(PartialMagma):
+            def defined(self, x, y):
+                return super().defined(x, y) != ((x, y) == (a32, a21))
+
+        with pytest.raises(InternalCheckError,
+                           match=rf"chain rule fails on a regular magma: \({a32}, {a21}\)"):
+            classify(Lying(pm.n, pm.table))
 
     def test_pins_require_regularity(self):
         with pytest.raises(ValueError):
             cat_from_rpm(nat_subtraction_magma(3))
+
+
+def _fastening(pm, us):
+    """Fastening by its own scan: every element has a unit on its left and
+    one on its right."""
+    for x in range(pm.n):
+        if not any(pm.defined(u, x) for u in us):
+            return False, (x, "left")
+        if not any(pm.defined(x, u) for u in us):
+            return False, (x, "right")
+    return True, None
+
+
+def verify_chain_rule(pm) -> Verdict:
+    """Exhaustively, from its own units and pins: a product is defined iff
+    the pins match."""
+    us = units(pm)
+    pins = {}
+    for x in range(pm.n):
+        doms = [u for u in us if pm.defined(x, u)]
+        cods = [u for u in us if pm.defined(u, x)]
+        if len(doms) != 1 or len(cods) != 1:
+            return Verdict.fail(x, "pin not unique")
+        pins[x] = (doms[0], cods[0])
+    for x in range(pm.n):
+        for z in range(pm.n):
+            if pm.defined(x, z) != (pins[x][0] == pins[z][1]):
+                return Verdict.fail((x, z), "definedness disagrees with the pins")
+    return Verdict.ok()
+
+
+def classify_by_separate_scans(pm):
+    """The classification as ``to_dict`` prints it, and the (dom, cod) pins
+    of a regular magma, each decided by a scan of its own: fastening,
+    the chain rule, and a category's first unit on each side of an arrow."""
+    us = units(pm)
+    associative, aw = partial_magma._associativity(pm)
+    if us:
+        fastened, fw = _fastening(pm, us)
+    else:
+        fastened, fw = (pm.n == 0), None if pm.n == 0 else (0, "left")
+    regular = bool(us) and associative and fastened
+    pins = None
+    if regular:
+        assert verify_chain_rule(pm)
+        pins = tuple((next(u for u in us if pm.defined(x, u)),
+                      next(u for u in us if pm.defined(u, x))) for x in range(pm.n))
+    total = all(pm.defined(x, y) for x in range(pm.n) for y in range(pm.n))
+    return {"units": list(us), "unital": bool(us), "associative": associative,
+            "assoc_witness": list(aw) if aw else None, "fastened": fastened,
+            "fastened_witness": list(fw) if fw else None, "regular": regular,
+            "total": total, "monoid": regular and len(us) == 1}, pins
+
+
+def _every_table(n):
+    for flat in product([None, *range(n)], repeat=n * n):
+        yield build_pm(n, [flat[i * n:(i + 1) * n] for i in range(n)])
+
+
+def _sampled_three_element_tables():
+    """400 seeded tables on three elements: 200 of any kind, most with no
+    unit, and 200 of the tables with a unit."""
+    rng = random.Random(20)
+    idx, tables = unital_table_indices(3)
+    rows = rng.sample(range(tables.shape[0]), 200) + rng.sample(idx.tolist(), 200)
+    return [pm_from_row(3, tables[r]) for r in rows]
+
+
+class TestMergedPass:
+    """``classify`` decides units' sides once; fastening, the chain rule and
+    the pins a category reads must be what separate scans decide."""
+
+    @staticmethod
+    def _agree(pm):
+        expected, pins = classify_by_separate_scans(pm)
+        c = classify(pm)
+        assert c.to_dict() == expected and c.pins == pins
+        if pins is not None:
+            cat = cat_from_rpm(pm)
+            assert tuple(zip(cat.dom, cat.cod)) == pins
+        return c
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_every_table_up_to_two_elements(self, n):
+        seen = [self._agree(pm) for pm in _every_table(n)]
+        assert len(seen) == (n + 1) ** (n * n)
+
+    def test_every_regular_three_element_table(self):
+        for pm in regular_tables(3):
+            assert self._agree(pm).regular
+
+    def test_sampled_three_element_tables(self):
+        witnesses = [self._agree(pm).fastened_witness
+                     for pm in _sampled_three_element_tables()]
+        assert (0, "left") in witnesses
+        assert any(w is not None and w[1] == "right" for w in witnesses)
+        assert witnesses.count(None) > 0
 
 
 class TestHomomorphisms:

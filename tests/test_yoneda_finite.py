@@ -5,8 +5,8 @@ import pytest
 
 import liftlab.yoneda_finite as yf
 
-from liftlab.filter_calculus import (is_ultrafilter, limit_along,
-                                     principal_ultrafilter, trivial_filter)
+from liftlab.filter_calculus import (Filter, is_ultrafilter, limit_along,
+                                     principal_ultrafilter)
 from liftlab.lebesgue_diff import kernel_from_lifting, lower_density_from_kernel
 from liftlab.measure_algebra import SetTransform
 from liftlab.measure_space import averageable_code, averageable_sets
@@ -137,7 +137,7 @@ class TestTauFromKernel:
 
     def test_requires_ultrafilters(self):
         with pytest.raises(ValueError, match="ultrafilter"):
-            tau_from_kernel((trivial_filter(0b11), ), default_probes(2))
+            tau_from_kernel((Filter(0b11, 0b11), ), default_probes(2))
 
     def test_output_is_natural_for_every_kernel(self):
         probes = default_probes(3)

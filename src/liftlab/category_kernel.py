@@ -7,7 +7,10 @@ another, and a transformation between two functors can be encoded either
 arrow-indexed (a homomorphism into twin arrows under horizontal
 multiplication) or object-indexed (classical components).  Both encodings
 are kept as distinct types with explicit converters, because their
-equivalence is one of the statements under test.
+equivalence is one of the statements under test.  The twin squares
+between two arrows are searched once per category (``twin_hom_cases``),
+and the twin and functor categories are tabulated by
+``partial_magma.product_pm``.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
-from .partial_magma import (PartialMagma, build_pm, classify, hmul,
-                            matrix_magma, nat_subtraction_magma, vmul)
+from .partial_magma import (PartialMagma, classify, hmul, matrix_magma,
+                            nat_subtraction_magma, product_pm, vmul)
 from .verdict import CapacityError, InternalCheckError, Verdict
 
 ENUMERATION_CAP = 10_000_000
@@ -60,11 +63,6 @@ class FiniteCategory:
         return self.pm.op(x, y)
 
 
-def cat_from_rpm(pm: PartialMagma) -> FiniteCategory:
-    """Read a regular partial magma as a category (objects = units)."""
-    return FiniteCategory(pm)
-
-
 def hom_set(cat: FiniteCategory, u: int, v: int) -> tuple[int, ...]:
     """Arrows from ``u`` to ``v``; hom-sets partition the arrows."""
     if u not in cat.position or v not in cat.position:
@@ -88,21 +86,12 @@ def is_twin_arrow(cat: FiniteCategory, x: int, y: int, pair: tuple[int, int]) ->
     return left is not None and right is not None and left == right
 
 
-def twin_hom_cases(cat: FiniteCategory, x: int, y: int) -> tuple[TwinArrow, ...]:
-    """All twin arrows from ``x`` to ``y``, by exhaustive square search."""
-    out = []
-    for z1 in cat.arrows:
-        for z2 in cat.arrows:
-            if is_twin_arrow(cat, x, y, (z1, z2)):
-                out.append(TwinArrow(x, y, (z1, z2)))
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
-def _twin_pairs(cat: FiniteCategory, x: int, y: int) -> tuple[tuple[int, int], ...]:
-    """The pairs of ``twin_hom_cases(cat, x, y)``, searched once per
-    (category, x, y) however many transformations read them."""
-    return tuple(tw.pair for tw in twin_hom_cases(cat, x, y))
+def twin_hom_cases(cat: FiniteCategory, x: int, y: int) -> tuple[TwinArrow, ...]:
+    """All twin arrows from ``x`` to ``y``, by exhaustive square search,
+    run once per (category, x, y) however many callers read them."""
+    return tuple(TwinArrow(x, y, pair) for pair in product(cat.arrows, repeat=2)
+                 if is_twin_arrow(cat, x, y, pair))
 
 
 @dataclass(frozen=True)
@@ -116,31 +105,36 @@ def twin_category(cat: FiniteCategory) -> TwinCategoryResult:
     arrows are twin arrows, composed by vertical multiplication.  Its n
     twin arrows are counted first: reading the table as a category checks
     n^3 triples, so n^3 above ``ENUMERATION_CAP`` raises ``CapacityError``."""
-    data: list[TwinArrow] = []
-    for x in cat.arrows:
-        for y in cat.arrows:
-            data.extend(twin_hom_cases(cat, x, y))
+    data = [t for x, y in product(cat.arrows, repeat=2)
+            for t in twin_hom_cases(cat, x, y)]
     n = len(data)
     if n ** 3 > ENUMERATION_CAP:
         raise CapacityError(f"twin category too large: {n} twin arrows give {n ** 3} "
                             f"associativity triples, over the cap of {ENUMERATION_CAP}")
-    index = {t: i for i, t in enumerate(data)}
-    table = [[None] * n for _ in range(n)]
-    for i, a in enumerate(data):
-        for j, b in enumerate(data):
-            if b.target != a.source:
-                continue
-            prod = vmul(cat.pm, a.pair, b.pair)
-            if prod is None:
-                raise InternalCheckError("composable twin arrows failed to compose")
-            result = TwinArrow(b.source, a.target, prod)
-            if result not in index:
-                raise InternalCheckError("twin composition left the twin arrows")
-            table[i][j] = index[result]
-    twin_cat = cat_from_rpm(build_pm(n, table))
+
+    def mul(a: TwinArrow, b: TwinArrow) -> TwinArrow | None:
+        if b.target != a.source:
+            return None
+        prod = vmul(cat.pm, a.pair, b.pair)
+        if prod is None:
+            raise InternalCheckError("composable twin arrows failed to compose")
+        return TwinArrow(b.source, a.target, prod)
+
+    twin_cat = FiniteCategory(product_pm(data, mul))
     if len(twin_cat.objects) != cat.pm.n:
         raise InternalCheckError("twin category has the wrong object count")
     return TwinCategoryResult(twin_cat, tuple(data))
+
+
+def hom_recapture(base: FiniteCategory, twin: TwinCategoryResult) -> Verdict:
+    """The twin arrows that ``twin_category(base)`` found from an identity
+    u to an identity v are exactly the pairs (x, x) for x in hom(u, v)."""
+    for u, v in product(base.objects, repeat=2):
+        found = sorted(t.pair for t in twin.arrows if (t.source, t.target) == (u, v))
+        if found != [(x, x) for x in hom_set(base, u, v)]:
+            return Verdict.fail((u, v), "twin arrows between identities are not the "
+                                        "diagonal pairs of the hom-set")
+    return Verdict.ok()
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +337,14 @@ def compose_nat(beta: NatHom, alpha: NatHom) -> NatHom:
     return out
 
 
+def _capped_product(pointwise: list, what: str):
+    """The product of the candidate lists, refused with ``CapacityError``
+    when it has more than ``ENUMERATION_CAP`` members."""
+    if math.prod(map(len, pointwise)) > ENUMERATION_CAP:
+        raise CapacityError(f"{what} search space too large")
+    return product(*pointwise)
+
+
 def enumerate_nat_homs(t: Functor, s: Functor) -> tuple[NatHom, ...]:
     """All arrow-indexed transformations from t to s.
 
@@ -350,38 +352,21 @@ def enumerate_nat_homs(t: Functor, s: Functor) -> tuple[NatHom, ...]:
     definitional) and are filtered by the multiplicativity law.
     """
     _check_parallel(t, s)
-    c, d = t.source, t.target
-    pointwise = [_twin_pairs(d, t(x), s(x)) for x in c.arrows]
-    space = 1
-    for cands in pointwise:
-        space *= len(cands)
-        if space > ENUMERATION_CAP:
-            raise CapacityError("transformation search space too large")
-    out = []
-    for assignment in product(*pointwise):
-        alpha = NatHom(t, s, assignment)
-        if validate_nat_hom(alpha):
-            out.append(alpha)
-    return tuple(out)
+    pointwise = [[tw.pair for tw in twin_hom_cases(t.target, t(x), s(x))]
+                 for x in t.source.arrows]
+    return tuple(alpha for alpha in (NatHom(t, s, assignment) for assignment
+                                     in _capped_product(pointwise, "transformation"))
+                 if validate_nat_hom(alpha))
 
 
 def enumerate_nat_trans(t: Functor, s: Functor) -> tuple[NatTrans, ...]:
     """All object-indexed families in the right hom-sets that pass every
     naturality square."""
     _check_parallel(t, s)
-    c, d = t.source, t.target
-    pointwise = [hom_set(d, t(u), s(u)) for u in c.objects]
-    space = 1
-    for cands in pointwise:
-        space *= len(cands)
-        if space > ENUMERATION_CAP:
-            raise CapacityError("component search space too large")
-    out = []
-    for comps in product(*pointwise):
-        tau = NatTrans(t, s, comps)
-        if validate_nat_trans(tau):
-            out.append(tau)
-    return tuple(out)
+    pointwise = [hom_set(t.target, t(u), s(u)) for u in t.source.objects]
+    return tuple(tau for tau in (NatTrans(t, s, comps) for comps
+                                 in _capped_product(pointwise, "component"))
+                 if validate_nat_trans(tau))
 
 
 # ---------------------------------------------------------------------------
@@ -399,22 +384,12 @@ def functor_category(c: FiniteCategory, d: FiniteCategory) -> FunctorCategoryRes
     """Objects: functors c -> d.  Arrows: arrow-indexed transformations,
     composed vertically."""
     functors = enumerate_functors(c, d)
-    arrows: list[NatHom] = []
-    for s in functors:          # target functor
-        for t in functors:      # source functor
-            arrows.extend(enumerate_nat_homs(t, s))
     rank = {f: i for i, f in enumerate(functors)}
-    ordered = sorted(arrows, key=lambda a: (rank[a.source], rank[a.target], a.assignment))
-    index = {(a.source, a.target, a.assignment): i for i, a in enumerate(ordered)}
-    n = len(ordered)
-    table = [[None] * n for _ in range(n)]
-    for i, a in enumerate(ordered):
-        for j, b in enumerate(ordered):
-            if b.target != a.source:
-                continue
-            comp = compose_nat(a, b)
-            table[i][j] = index[(comp.source, comp.target, comp.assignment)]
-    category = cat_from_rpm(build_pm(n, table))
+    ordered = sorted((a for t, s in product(functors, repeat=2)
+                      for a in enumerate_nat_homs(t, s)),
+                     key=lambda a: (rank[a.source], rank[a.target], a.assignment))
+    category = FiniteCategory(product_pm(
+        ordered, lambda a, b: compose_nat(a, b) if b.target == a.source else None))
     if len(category.objects) != len(functors):
         raise InternalCheckError("functor category has the wrong object count")
     return FunctorCategoryResult(category, functors, tuple(ordered))
@@ -447,5 +422,5 @@ def named_magmas() -> dict[str, PartialMagma]:
 def named_categories() -> dict[str, FiniteCategory]:
     """The one-object, discrete-two, single-arrow, triangle, and square
     categories; ``matrix_magma(NAMED_SHAPES[name])[1]`` names their arrows."""
-    return {name: cat_from_rpm(matrix_magma(shapes)[0])
+    return {name: FiniteCategory(matrix_magma(shapes)[0])
             for name, shapes in NAMED_SHAPES.items()}

@@ -1,10 +1,11 @@
 """The quotient algebra of a finite measure space and its set transforms.
 
 A set transform is a total table over all 2^n subsets.  Nine checkable
-properties classify transforms; the bundles "lower density" and "lifting"
-are conjunctions of them.  The passage from a lower density to a lifting
-swaps the transform for a point-indexed family of set systems, refines
-each to an ultrafilter, and swaps back.
+properties classify transforms, each decided at most once per transform;
+the bundles "lower density" and "lifting" are conjunctions of them, and
+they and the two implications read the verdicts decided.  The passage
+from a lower density to a lifting swaps the transform for a point-indexed
+family of set systems, refines each to an ultrafilter, and swaps back.
 
 The lattice predicates are decided by structure lemmas on finite
 powersets, in O(2^n) steps instead of the O(4^n) pair loops: a map that
@@ -17,7 +18,7 @@ exhaustive pair loop run, to find the same first witness as always.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
 from itertools import product
@@ -57,10 +58,12 @@ LIFTING_PROPERTIES = LOWER_DENSITY_PROPERTIES + (TransformProperty.PRESERVES_UNI
 
 @dataclass(frozen=True)
 class SetTransform:
-    """A total map set -> set over one space, stored as a 2^n table."""
+    """A total map set -> set over one space, stored as a 2^n table, with
+    the verdict of each property ``check_property`` has decided on it."""
 
     space: MeasureSpace
     table: tuple[int, ...]
+    verdicts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.table) != self.space.full_mask + 1:
@@ -175,8 +178,13 @@ _CHECKERS = {
 
 
 def check_property(transform: SetTransform, prop: TransformProperty) -> Verdict:
-    """Exhaustively check one property; failures carry a concrete witness."""
-    return _CHECKERS[prop](transform)
+    """Exhaustively check one property, once per transform: the bundles
+    and implications below read the verdicts already decided.  Failures
+    carry a concrete witness."""
+    v = transform.verdicts.get(prop)
+    if v is None:
+        v = transform.verdicts[prop] = _CHECKERS[prop](transform)
+    return v
 
 
 def _check_bundle(transform: SetTransform, props) -> Verdict:

@@ -6,7 +6,9 @@ associativity, fastening, regularity, and a regular magma's pins) are
 evaluated exhaustively and failures carry minimal witnesses.  Pairs of
 elements carry two extra partial products: horizontal multiplication
 (middle-erasing) and vertical (componentwise) multiplication, related by
-the interchange law.
+the interchange law.  A magma built from other structures (pairs under
+either product here, twin arrows and transformations in
+``category_kernel``) is tabulated by one constructor, ``product_pm``.
 """
 
 from __future__ import annotations
@@ -44,6 +46,25 @@ def build_pm(n: int, table: Sequence[Sequence[int | None]]) -> PartialMagma:
                 raise ValueError(f"entry ({i},{j}) = {v!r} is not an element")
         rows.append(tuple(row))
     return PartialMagma(n, tuple(rows))
+
+
+def product_pm(elements: Sequence, mul) -> PartialMagma:
+    """The partial magma on ``elements``, numbered by position, whose
+    product of the i-th and the j-th element is ``mul(elements[i],
+    elements[j])``, undefined where that is None.  A product that is not
+    in ``elements`` is an internal error."""
+    index = {e: i for i, e in enumerate(elements)}
+
+    def entry(a, b):
+        r = mul(a, b)
+        if r is None:
+            return None
+        if r not in index:
+            raise InternalCheckError(f"the product {r!r} is not an element")
+        return index[r]
+
+    table = tuple(tuple(entry(a, b) for b in elements) for a in elements)
+    return PartialMagma(len(elements), table)
 
 
 def units(pm: PartialMagma) -> tuple[int, ...]:
@@ -167,30 +188,18 @@ def index_pair(n: int, e: int) -> tuple[int, int]:
 
 
 def twin_pm(size: int) -> PartialMagma:
-    """Pairs over a bare carrier of the given size, under horizontal
-    multiplication."""
+    """Pairs over a bare carrier of the given size, in ``index_pair``
+    order, under horizontal multiplication."""
     if size < 1:
         raise ValueError("carrier must be nonempty")
-    m = size * size
-    table = [[None] * m for _ in range(m)]
-    for e in range(m):
-        for f in range(m):
-            r = hmul(index_pair(size, e), index_pair(size, f))
-            if r is not None:
-                table[e][f] = pair_index(size, r)
-    return build_pm(m, table)
+    return product_pm(list(product(range(size), repeat=2)), hmul)
 
 
 def square_pm(pm: PartialMagma) -> PartialMagma:
-    """Pairs over a partial magma, under vertical multiplication."""
-    m = pm.n * pm.n
-    table = [[None] * m for _ in range(m)]
-    for e in range(m):
-        for f in range(m):
-            r = vmul(pm, index_pair(pm.n, e), index_pair(pm.n, f))
-            if r is not None:
-                table[e][f] = pair_index(pm.n, r)
-    return build_pm(m, table)
+    """Pairs over a partial magma, in ``index_pair`` order, under vertical
+    multiplication."""
+    return product_pm(list(product(range(pm.n), repeat=2)),
+                      lambda x, y: vmul(pm, x, y))
 
 
 @dataclass(frozen=True)
@@ -357,13 +366,11 @@ def matrix_magma(dims: Sequence[tuple[int, int]]) -> tuple[PartialMagma, tuple[s
 
 class RegularBuild(NamedTuple):
     """A regular magma with the choices ``regular_builds`` made for it: the
-    units, the (dom, cod) pin of every element and, for every (x, y) with
-    dom x = cod y, the composite x.y."""
+    units and the (dom, cod) pin of every element."""
 
     pm: PartialMagma
     units: tuple[int, ...]
     pins: tuple[tuple[int, int], ...]
-    composites: dict[tuple[int, int], int]
 
 
 @cache
@@ -397,11 +404,8 @@ def regular_builds(n: int) -> tuple[RegularBuild, ...]:
                 for flat in product(*cells):
                     pm = PartialMagma(n, tuple(flat[i:i + n] for i in range(0, n * n, n)))
                     if classify(pm).regular:
-                        found.append(RegularBuild(
-                            pm, us, tuple(pin[x] for x in range(n)),
-                            {(x, y): z for (x, y), z
-                             in zip(product(range(n), repeat=2), flat)
-                             if pin[x][0] == pin[y][1]}))
+                        found.append(RegularBuild(pm, us,
+                                                  tuple(pin[x] for x in range(n))))
     # the digits, most significant first
     return tuple(sorted(found, key=lambda b: [-1 if v is None else v
                                               for row in b.pm.table[::-1]

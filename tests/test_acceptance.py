@@ -157,8 +157,8 @@ def test_criterion_07_category_magma_roundtrips():
     count = sum(out.get("regular_counts", {}).values())
     _report(7, "categories read from arrow magmas match an independent "
                "presentation: pins and matrix products on the named examples, "
-               f"tables rebuilt from dom, cod and composites on all {count} "
-               "regular magmas of size <= 3",
+               f"objects, dom and cod against the units and pins built on all "
+               f"{count} regular magmas of size <= 3",
             out["pass"], time.monotonic() - start, None)
 
 

@@ -21,7 +21,7 @@ import liftlab.yoneda_finite as yoneda_finite
 from liftlab.measure_algebra import SetTransform
 
 CACHED = (partial_magma.regular_builds, partial_magma.regular_tables,
-          category_kernel._twin_pairs,
+          category_kernel.twin_hom_cases,
           yoneda_finite.all_functions, yoneda_finite.composite_indices,
           measure_space.averageable_sets, measure_space.averageable_code)
 
@@ -173,3 +173,30 @@ def test_regular_half_sees_the_object_list(monkeypatch):
     out = suite.run_check("cat_rpm_roundtrips")
     assert out["pass"] is False
     assert out["witness"] == first
+
+
+def _last_arrow_lost(real, cat, u, v):
+    return real(cat, u, v)[:-1]
+
+
+def test_twin_check_reads_the_hom_sets(monkeypatch):
+    # a hom-set that loses its last arrow no longer matches the twin arrows
+    # found between the identities, already on the one-object category
+    wrap(monkeypatch, category_kernel, "hom_set", _last_arrow_lost)
+    out = suite.run_check("twin_categories")
+    assert out["pass"] is False
+    assert out["witness"] == ["1", (0, 0)]
+
+
+def test_a_lost_regular_magma_fails_both_count_checks(monkeypatch):
+    real = partial_magma.regular_builds
+
+    def one_lost(n):
+        return real(n)[1:] if n == 3 else real(n)
+
+    monkeypatch.setattr(partial_magma, "regular_builds", one_lost)
+    monkeypatch.setattr(suite, "regular_builds", one_lost)
+    for name in ("single_unit_totality", "cat_rpm_roundtrips"):
+        out = suite.run_check(name)
+        assert out["pass"] is False
+        assert out["witness"] == out["regular_counts"] == {"1": 1, "2": 5, "3": 51}

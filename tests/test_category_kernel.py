@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -6,10 +7,10 @@ import pytest
 import liftlab.category_kernel as category_kernel
 from liftlab.category_kernel import (ENUMERATION_CAP, NAMED_SHAPES, FiniteCategory,
                                      Functor, NatHom, NatTrans, TwinArrow,
-                                     cat_from_rpm, compose_nat, enumerate_functors,
+                                     compose_nat, enumerate_functors,
                                      enumerate_nat_homs, enumerate_nat_trans,
-                                     functor_category, hom_from_nat, hom_set,
-                                     identity_nat_hom, named_categories,
+                                     functor_category, hom_from_nat, hom_recapture,
+                                     hom_set, identity_nat_hom, named_categories,
                                      named_magmas, nat_from_hom, twin_category,
                                      twin_hom_cases, validate_nat_hom,
                                      validate_nat_trans)
@@ -58,7 +59,7 @@ class TestCatRpmRoundtrip:
         # one arrow with dom and cod swapped; without the named shapes the
         # regular magmas alone must catch it
         def swapped(pm):
-            c = cat_from_rpm(pm)
+            c = FiniteCategory(pm)
             x = next((x for x in c.arrows if c.dom[x] != c.cod[x]), None)
             if x is not None:
                 dom, cod = list(c.dom), list(c.cod)
@@ -68,7 +69,7 @@ class TestCatRpmRoundtrip:
             return c
 
         assert run_check("cat_rpm_roundtrips")["pass"]
-        monkeypatch.setattr(suite, "cat_from_rpm", swapped)
+        monkeypatch.setattr(suite, "FiniteCategory", swapped)
         if not named:
             monkeypatch.setattr(suite, "NAMED_SHAPES", {})
         out = run_check("cat_rpm_roundtrips")
@@ -77,7 +78,7 @@ class TestCatRpmRoundtrip:
 
     def test_rejects_non_regular(self):
         with pytest.raises(ValueError, match="not a category"):
-            cat_from_rpm(named_magmas()["nat_sub"])
+            FiniteCategory(named_magmas()["nat_sub"])
 
     def test_objects_are_the_units_computed_once(self, monkeypatch):
         import liftlab.partial_magma as pm_module
@@ -85,7 +86,7 @@ class TestCatRpmRoundtrip:
         real = pm_module.units
         monkeypatch.setattr(pm_module, "units",
                             lambda pm: calls.append(pm) or real(pm))
-        c = cat_from_rpm(CATS["SQ"].pm)
+        c = FiniteCategory(CATS["SQ"].pm)
         built = len(calls)  # classify's, in __post_init__
         for _ in range(3):
             assert c.objects == real(c.pm)
@@ -153,11 +154,21 @@ class TestTwinCategory:
                 plain = hom_set(three, u, v)
                 doubled = twin_hom_cases(three, u, v)
                 assert {t.pair for t in doubled} == {(x, x) for x in plain}
+        assert hom_recapture(three, twin_category(three))
+
+    def test_hom_recapture_fails_on_a_missing_twin_arrow(self):
+        # drop the twin arrow (A21, A21) from the identity I1 to I2 of "2"
+        two = CATS["2"]
+        tw = twin_category(two)
+        kept = tuple(t for t in tw.arrows if t != TwinArrow(0, 1, (2, 2)))
+        assert len(kept) == len(tw.arrows) - 1
+        v = hom_recapture(two, replace(tw, arrows=kept))
+        assert not v and v.witness == (0, 1)
 
     def test_small_categories_have_twins_under_the_cap(self):
         sizes = [twin_category(c).category.pm.n for c in CATS.values()]
         assert max(sizes) == 36  # the square
-        sizes = [twin_category(cat_from_rpm(pm)).category.pm.n
+        sizes = [twin_category(FiniteCategory(pm)).category.pm.n
                  for n in (1, 2, 3) for pm in regular_tables(n)]
         assert max(sizes) == 41 and max(sizes) ** 3 <= ENUMERATION_CAP
 
@@ -165,7 +176,7 @@ class TestTwinCategory:
     def test_null_monoid_twins_past_the_cap_are_refused(self, n, twin_arrows):
         # the null monoid: 0 is the unit, and every product of two
         # non-units is 1; its twin arrows are counted, never tabulated
-        cat = cat_from_rpm(build_pm(n, [[y if x == 0 else x if y == 0 else 1
+        cat = FiniteCategory(build_pm(n, [[y if x == 0 else x if y == 0 else 1
                                          for y in range(n)] for x in range(n)]))
         if twin_arrows ** 3 <= ENUMERATION_CAP:
             assert twin_category(cat).category.pm.n == twin_arrows
@@ -280,7 +291,7 @@ def _brute_force_functors(c: FiniteCategory, d: FiniteCategory) -> tuple[Functor
     return tuple(out)
 
 
-REGULAR_CATS = [cat_from_rpm(pm) for n in (1, 2, 3) for pm in regular_tables(n)]
+REGULAR_CATS = [FiniteCategory(pm) for n in (1, 2, 3) for pm in regular_tables(n)]
 
 
 class TestFunctorSearch:
@@ -312,7 +323,7 @@ class TestFunctorSearch:
 
     def test_too_many_object_maps_refused_fast(self):
         n = 12
-        discrete = cat_from_rpm(build_pm(n, [[x if x == y else None for y in range(n)]
+        discrete = FiniteCategory(build_pm(n, [[x if x == y else None for y in range(n)]
                                              for x in range(n)]))
         assert len(discrete.objects) == n
         started = time.monotonic()
@@ -372,16 +383,11 @@ class TestNatEquivOnNamedPairs:
 
 
 def _uncached_nat_homs(t: Functor, s: Functor) -> tuple[NatHom, ...]:
-    """``enumerate_nat_homs`` with its candidates read from
-    ``twin_hom_cases`` itself, one search per (x, y) within this call."""
+    """``enumerate_nat_homs`` with its candidates read from the square
+    search behind the cache of ``twin_hom_cases``, one search per arrow."""
     d = t.target
-    searched = {}
-    pointwise = []
-    for x in t.source.arrows:
-        key = (t(x), s(x))
-        if key not in searched:
-            searched[key] = tuple(tw.pair for tw in twin_hom_cases(d, *key))
-        pointwise.append(searched[key])
+    pointwise = [[tw.pair for tw in twin_hom_cases.__wrapped__(d, t(x), s(x))]
+                 for x in t.source.arrows]
     return tuple(alpha for alpha in (NatHom(t, s, a) for a in product(*pointwise))
                  if validate_nat_hom(alpha))
 
@@ -394,19 +400,14 @@ class TestTwinPairCache:
             for s in functors:
                 assert enumerate_nat_homs(t, s) == _uncached_nat_homs(t, s)
 
-    def test_each_square_search_runs_once(self, monkeypatch):
-        searched = []
-        original = category_kernel.twin_hom_cases
-
-        def counted(cat, x, y):
-            searched.append((cat, x, y))
-            return original(cat, x, y)
-
-        monkeypatch.setattr(category_kernel, "twin_hom_cases", counted)
-        category_kernel._twin_pairs.cache_clear()
+    def test_each_square_search_runs_once(self):
+        # a cache miss is a search that ran; every later read is a hit
+        twin_hom_cases.cache_clear()
         rep = natequiv_report("SQ", "SQ")
         assert rep["pass"] and rep["arrow_indexed"] == 400
-        assert len(searched) == len(set(searched)) <= CATS["SQ"].pm.n ** 2
+        info = twin_hom_cases.cache_info()
+        assert info.misses == info.currsize <= CATS["SQ"].pm.n ** 2
+        assert info.hits > info.misses
 
 
 class TestTransformEncodings:

@@ -10,9 +10,12 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import liftlab.category_kernel as category_kernel
 import liftlab.cli
+import liftlab.measure_algebra as measure_algebra
 import liftlab.suite
 from liftlab.cli import main
+from liftlab.measure_algebra import TransformProperty
 from liftlab.verdict import InternalCheckError
 
 LAMBDA_A = [0, 5, 2, 7, 0, 5, 2, 7]
@@ -21,6 +24,14 @@ LAMBDA_A = [0, 5, 2, 7, 0, 5, 2, 7]
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+@pytest.fixture
+def cli_mix_documents(monkeypatch):
+    """The documents of the benchmark's cli_mix workload at seed 1."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "liftbench"))
+    from inputs import cli_inputs
+    return cli_inputs(1)
 
 
 def _source_env():
@@ -397,6 +408,20 @@ class TestSpaceCommands:
         assert report["properties"]["ae_identity"]["holds"] is False
         assert report["properties"]["ae_identity"]["witness"] == 1
 
+    @pytest.mark.parametrize("name, code", [
+        ("lifting", 0), ("density", 1), ("ae_identity", 1)])
+    def test_check_decides_each_property_once(self, runner, monkeypatch,
+                                              cli_mix_documents, name, code):
+        # the bundles and the implications read the nine verdicts decided
+        decided = []
+        for prop, checker in list(measure_algebra._CHECKERS.items()):
+            monkeypatch.setitem(measure_algebra._CHECKERS, prop,
+                                lambda t, _p=prop, _c=checker: decided.append(_p) or _c(t))
+        result = runner.invoke(main, ["space", "check", "-"],
+                               input=json.dumps(cli_mix_documents[name]))
+        assert result.exit_code == code
+        assert sorted(p.value for p in decided) == sorted(p.value for p in TransformProperty)
+
     def test_liftings_with_oracle(self, runner, tmp_path):
         doc = write(tmp_path, "s1.json",
                     {"kind": "measure_space", "weights": ["1", "1", "0"]})
@@ -474,6 +499,40 @@ class TestCatCommands:
         result = runner.invoke(main, ["cat", "twin", doc, "--format", "json"])
         assert result.exit_code == 1
         assert json.loads(result.stdout)["regular"] is False
+
+    def test_twin_searches_each_square_once(self, runner, monkeypatch, cli_mix_documents):
+        # the square's 9 x 9 (x, y) searches of 81 pairs each; the hom
+        # recapture reads the twin arrows they found
+        calls = []
+        real = category_kernel.is_twin_arrow
+        monkeypatch.setattr(category_kernel, "is_twin_arrow",
+                            lambda *args: calls.append(args) or real(*args))
+        category_kernel.twin_hom_cases.cache_clear()
+        result = runner.invoke(main, ["cat", "twin", "-", "--max-elems", "9"],
+                               input=json.dumps(cli_mix_documents["sq"]))
+        assert result.exit_code == 0
+        assert len(calls) == 6561
+
+    def test_twin_fails_when_a_hom_set_loses_an_arrow(self, runner, monkeypatch):
+        real = category_kernel.hom_set
+        monkeypatch.setattr(category_kernel, "hom_set",
+                            lambda cat, u, v: real(cat, u, v)[:-1])
+        result = runner.invoke(main, ["cat", "twin", "-", "--format", "json"], input=_doc({
+            "kind": "category", "n": 3,
+            "table": [[0, None, None], [None, 1, 2], [2, None, None]]}))
+        assert result.exit_code == 1
+        report = json.loads(result.stdout)
+        assert report["hom_recapture"] is False and report["status"] == "fail"
+
+    def test_natequiv_classifies_each_named_category_once(self, runner, monkeypatch):
+        classified = []
+        real = category_kernel.classify
+        monkeypatch.setattr(category_kernel, "classify",
+                            lambda pm: classified.append(pm) or real(pm))
+        result = runner.invoke(main, ["cat", "natequiv", "--source", "3",
+                                      "--target", "SQ"])
+        assert result.exit_code == 0
+        assert len(classified) == 5
 
     def test_twin_past_the_cap_exits_2_within_seconds(self, runner, tmp_path):
         # the null monoid on 8 elements (the default --max-elems): 0 is the

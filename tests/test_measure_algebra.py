@@ -112,6 +112,25 @@ class TestBundles:
         assert not check_property(t, TransformProperty.COMMUTES_WITH_COMPLEMENT)
 
 
+class TestDecidedOnce:
+    def test_is_lifting_alone_stops_at_the_first_failure(self, s1, monkeypatch):
+        # STRIP_NULLS fails the first lifting property, the ambient space;
+        # the second call reads that verdict
+        decided = []
+        for prop, checker in list(ma._CHECKERS.items()):
+            monkeypatch.setitem(ma._CHECKERS, prop, lambda t, _p=prop, _c=checker:
+                                decided.append(_p) or _c(t))
+        t = SetTransform(s1, STRIP_NULLS)
+        assert not is_lifting(t) and not is_lifting(t)
+        assert decided == [TransformProperty.PRESERVES_AMBIENT_SPACE]
+
+    def test_equal_transforms_keep_their_own_verdicts(self, s1):
+        t, u = SetTransform(s1, LAMBDA_A), SetTransform(s1, LAMBDA_A)
+        assert is_lifting(t)
+        assert t == u and hash(t) == hash(u) and u.verdicts == {}
+        assert "verdicts" not in repr(t)
+
+
 class TestImplicationSuite:
     def test_lifting_satisfies_both(self, s1):
         first, second = implication_suite(SetTransform(s1, LAMBDA_A))

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liftlab import partial_magma
-from liftlab.category_kernel import cat_from_rpm
+from liftlab.category_kernel import FiniteCategory
 from liftlab.partial_magma import (PartialMagma, SweepReport, build_pm, classify,
                                    hmul, index_pair, interchange_check,
                                    interchange_sweep, matrix_magma,
                                    nat_subtraction_magma, pair_index,
-                                   regular_tables, single_unit_totality,
+                                   product_pm, regular_tables, single_unit_totality,
                                    square_pm, twin_pm, units, vmul)
 from liftlab.suite import run_check
 from liftlab.verdict import InternalCheckError, Verdict
@@ -199,6 +199,13 @@ class TestClassify:
         assert not c.fastened and c.fastened_witness == (1, "left")
         assert not c.regular and not c.total and not c.monoid
 
+    def test_associativity_value_witness(self):
+        # total, so every triple is defined on both sides: (1.0).1 = 1.1 = 0
+        # but 1.(0.1) = 1.0 = 1
+        c = classify(build_pm(2, ((0, 0), (1, 0))))
+        assert not c.associative and c.assoc_witness == (1, 0, 1, "value")
+        assert c.to_dict()["assoc_witness"] == [1, 0, 1, "value"]
+
     def test_one_element_total_magma_is_monoid(self):
         c = classify(build_pm(1, [[0]]))
         assert c.monoid and c.total and c.regular
@@ -272,6 +279,14 @@ class TestPairProducts:
     def test_square_pm_of_regular_is_regular(self):
         for pm in (m3()[0], m6()[0], twin_pm(2)):
             assert classify(square_pm(pm)).regular
+
+    def test_product_pm_numbers_the_elements_by_position(self):
+        pm = product_pm(["b", "a"], lambda x, y: x if x == y else None)
+        assert pm == build_pm(2, [[0, None], [None, 1]])
+
+    def test_product_pm_refuses_a_product_outside_the_elements(self):
+        with pytest.raises(InternalCheckError, match="'ab' is not an element"):
+            product_pm(["a", "b"], lambda x, y: x + y if x != y else x)
 
     def test_twin_pm_regular_up_to_three(self):
         for n in (1, 2, 3):
@@ -420,17 +435,17 @@ class TestPins:
     def test_matrix_pins(self):
         pm, labels = m6()
         a32 = labels.index("A32")
-        cat = cat_from_rpm(pm)
+        cat = FiniteCategory(pm)
         assert (cat.dom[a32], cat.cod[a32]) == (labels.index("I2"), labels.index("I3"))
 
     def test_units_are_their_own_pins(self):
         pm = m3()[0]
-        cat = cat_from_rpm(pm)
+        cat = FiniteCategory(pm)
         for u in units(pm):
             assert (cat.dom[u], cat.cod[u]) == (u, u)
 
     def test_twin_pins_are_diagonal_pairs(self):
-        cat = cat_from_rpm(twin_pm(3))
+        cat = FiniteCategory(twin_pm(3))
         for e in range(cat.pm.n):
             x = index_pair(3, e)
             assert index_pair(3, cat.dom[e]) == (x[0], x[0])
@@ -438,7 +453,7 @@ class TestPins:
 
     def test_chain_rule_fixture(self):
         pm, labels = m6()
-        cat = cat_from_rpm(pm)
+        cat = FiniteCategory(pm)
         a21, a32 = labels.index("A21"), labels.index("A32")
         assert pm.defined(a32, a21) and cat.dom[a32] == cat.cod[a21]
         assert not pm.defined(a21, a32) and cat.dom[a21] != cat.cod[a32]
@@ -468,7 +483,7 @@ class TestPins:
 
     def test_pins_require_regularity(self):
         with pytest.raises(ValueError):
-            cat_from_rpm(nat_subtraction_magma(3))
+            FiniteCategory(nat_subtraction_magma(3))
 
 
 def _fastening(pm, us):
@@ -547,7 +562,7 @@ class TestMergedPass:
         c = classify(pm)
         assert c.to_dict() == expected and c.pins == pins
         if pins is not None:
-            cat = cat_from_rpm(pm)
+            cat = FiniteCategory(pm)
             assert tuple(zip(cat.dom, cat.cod)) == pins
         return c
 

@@ -253,6 +253,12 @@ def validate_nat_hom(alpha: NatHom) -> Verdict:
     for x in c.arrows:
         if not is_twin_arrow(d, t(x), s(x), alpha.assignment[x]):
             return Verdict.fail(x, "value is not a twin arrow between the images")
+    return _multiplicative(alpha)
+
+
+def _multiplicative(alpha: NatHom) -> Verdict:
+    """The hom law alone: x∘y goes to the horizontal product of the values."""
+    c = alpha.source.source
     for x in c.arrows:
         for y in c.arrows:
             xy = c.compose(x, y)
@@ -276,6 +282,13 @@ def validate_nat_trans(tau: NatTrans) -> Verdict:
         comp = tau.component(u)
         if d.dom[comp] != t(u) or d.cod[comp] != s(u):
             return Verdict.fail(u, "component has the wrong endpoints")
+    return _natural(tau)
+
+
+def _natural(tau: NatTrans) -> Verdict:
+    """The naturality squares alone, one per arrow of the source."""
+    t, s = tau.source, tau.target
+    c, d = t.source, t.target
     for x in c.arrows:
         left = d.compose(tau.component(c.cod[x]), t(x))
         right = d.compose(s(x), tau.component(c.dom[x]))
@@ -349,14 +362,14 @@ def enumerate_nat_homs(t: Functor, s: Functor) -> tuple[NatHom, ...]:
     """All arrow-indexed transformations from t to s.
 
     Candidates range over the twin-arrow hom-sets pointwise (that part is
-    definitional) and are filtered by the multiplicativity law.
+    definitional, so not checked again) and are filtered by multiplicativity.
     """
     _check_parallel(t, s)
     pointwise = [[tw.pair for tw in twin_hom_cases(t.target, t(x), s(x))]
                  for x in t.source.arrows]
     return tuple(alpha for alpha in (NatHom(t, s, assignment) for assignment
                                      in _capped_product(pointwise, "transformation"))
-                 if validate_nat_hom(alpha))
+                 if _multiplicative(alpha))
 
 
 def enumerate_nat_trans(t: Functor, s: Functor) -> tuple[NatTrans, ...]:
@@ -366,7 +379,7 @@ def enumerate_nat_trans(t: Functor, s: Functor) -> tuple[NatTrans, ...]:
     pointwise = [hom_set(t.target, t(u), s(u)) for u in t.source.objects]
     return tuple(tau for tau in (NatTrans(t, s, comps) for comps
                                  in _capped_product(pointwise, "component"))
-                 if validate_nat_trans(tau))
+                 if _natural(tau))
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +432,7 @@ def named_magmas() -> dict[str, PartialMagma]:
     return out
 
 
-def named_categories() -> dict[str, FiniteCategory]:
-    """The one-object, discrete-two, single-arrow, triangle, and square
-    categories; ``matrix_magma(NAMED_SHAPES[name])[1]`` names their arrows."""
-    return {name: FiniteCategory(matrix_magma(shapes)[0])
-            for name, shapes in NAMED_SHAPES.items()}
+def named_category(name: str) -> FiniteCategory:
+    """The one-object, discrete-two, single-arrow, triangle or square
+    category; ``matrix_magma(NAMED_SHAPES[name])[1]`` names its arrows."""
+    return FiniteCategory(matrix_magma(NAMED_SHAPES[name])[0])

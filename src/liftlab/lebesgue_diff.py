@@ -8,6 +8,10 @@ taking limits; a kernel "differentiates" when this recovers every
 function almost everywhere.  Both directions of the equivalence with
 liftings are implemented and re-checked on concrete spaces.
 
+Each stage reads the measure space from the object it is given (a
+function, a transform, a kernel, a lifting).  Two objects meet only in
+``limiting_operator``, which refuses a kernel and mean values on two spaces.
+
 Mean values are computed on demand.  A transform's ``values`` is a
 read-only mapping over the averageable sets that computes and caches one
 mean when it is first read, so a limit along a kernel costs one mean per
@@ -37,8 +41,8 @@ class MeanValues(Mapping):
     """The mean values of one function, keyed by the averageable sets and
     computed on first read; any other key raises ``KeyError``."""
 
-    def __init__(self, space: MeasureSpace, f: PartialFn):
-        self._space = space
+    def __init__(self, f: PartialFn):
+        space = self._space = f.space
         # f times the weight, atom by atom; 0 off the domain, which is null
         self._mass = tuple(0 if v is None else v * w
                            for v, w in zip(f.values, space.weights))
@@ -90,46 +94,33 @@ class FilterKernel:
                 raise ValueError("kernel filters must live on the averageable sets")
 
 
-@dataclass(frozen=True)
-class DifferentiationBasis:
-    """A family of averageable sets with directed per-point subfamilies
-    covering almost every point."""
-
-    space: MeasureSpace
-    collection: tuple[int, ...]
-    families: tuple[tuple[int, ...], ...]  # per atom: members containing it
-    support: int
-
-
-def lebesgue_transform(space: MeasureSpace, f: PartialFn) -> LebesgueTransform:
+def lebesgue_transform(f: PartialFn) -> LebesgueTransform:
     """Mean values of an a.e.-defined function over every averageable set,
     each computed when it is first read.
 
     Undefined atoms are null, so they carry no mass: the transform only
     sees the a.e. class of ``f``.
     """
-    if f.space != space:
-        raise ValueError("function lives on a different space")
     if not f.defined_ae():
         raise ValueError("function must be defined almost everywhere")
-    return LebesgueTransform(space, MeanValues(space, f))
+    return LebesgueTransform(f.space, MeanValues(f))
 
 
-def limiting_operator(space: MeasureSpace, kernel: FilterKernel, lam) -> PartialFn:
+def limiting_operator(kernel: FilterKernel, lam: LebesgueTransform) -> PartialFn:
     """Pointwise limits of ``lam`` along the kernel's filters.
 
     The domain is exactly the set of points where the limit exists; an
-    empty domain is legal.
+    empty domain is legal.  Means on another space raise ``ValueError``.
     """
-    values = tuple(limit_along(f, lam) for f in kernel.filters)
-    domain = sum(1 << x for x, v in enumerate(values) if v is not None)
-    return PartialFn(space, domain, values)
+    if lam.space != kernel.space:
+        raise ValueError("kernel and mean values live on different spaces")
+    return PartialFn(kernel.space, tuple(limit_along(f, lam) for f in kernel.filters))
 
 
-def recovers(space: MeasureSpace, kernel: FilterKernel, f: PartialFn) -> Verdict:
+def recovers(kernel: FilterKernel, f: PartialFn) -> Verdict:
     """Exact a.e. recovery of one function from its mean values."""
-    g = limiting_operator(space, kernel, lebesgue_transform(space, f))
-    for x in bits(space.pos_mask):
+    g = limiting_operator(kernel, lebesgue_transform(f))
+    for x in bits(kernel.space.pos_mask):
         if not g.defined_at(x):
             return Verdict.fail(x, "limit undefined at a positive atom")
         if g(x) != f(x):
@@ -137,7 +128,7 @@ def recovers(space: MeasureSpace, kernel: FilterKernel, f: PartialFn) -> Verdict
     return Verdict.ok()
 
 
-def differentiates(space: MeasureSpace, kernel: FilterKernel) -> Verdict:
+def differentiates(kernel: FilterKernel) -> Verdict:
     """Does the kernel's limit operator invert the mean-value map?
 
     Checked on the indicator of each positive atom, in ascending order.
@@ -146,31 +137,34 @@ def differentiates(space: MeasureSpace, kernel: FilterKernel) -> Verdict:
     recovers every function; the reduction is validated against all
     indicators and randomized functions in the tests.
     """
-    for x in bits(space.pos_mask):
+    for x in bits(kernel.space.pos_mask):
         q = 1 << x
-        v = recovers(space, kernel, indicator(space, q))
+        v = recovers(kernel, indicator(kernel.space, q))
         if not v:
             return Verdict.fail((q, v.witness), f"indicator of {q:#b}: {v.reason}")
     return Verdict.ok()
 
 
-def lower_density_from_kernel(space: MeasureSpace, kernel: FilterKernel) -> SetTransform:
+def lower_density_from_kernel(kernel: FilterKernel) -> SetTransform:
     """The set transform picking the points where a set's indicator
     averages to 1 in the limit.  The kernel must differentiate, which
     ``verify_theorem1`` decides just before."""
+    space = kernel.space
     table = []
     for q in range(space.full_mask + 1):
-        g = limiting_operator(space, kernel, lebesgue_transform(space, indicator(space, q)))
+        g = limiting_operator(kernel, lebesgue_transform(indicator(space, q)))
         table.append(sum(1 << x for x in bits(g.domain) if g(x) == 1))
     return SetTransform(space, tuple(table))
 
 
-def basis_from_lifting(space: MeasureSpace, lifting: SetTransform) -> DifferentiationBasis:
-    """Averageable fixed points of a lifting, with both basis axioms
-    verified: directed per-point families and full-measure support."""
+def basis_from_lifting(lifting: SetTransform) -> tuple[tuple[int, ...], ...]:
+    """Averageable fixed points of a lifting, as one family per atom (the
+    members that contain it), with both basis axioms verified: directed
+    per-point families and full-measure support."""
     v = is_lifting(lifting)
     if not v:
         raise ValueError(f"not a lifting: {v.reason} (witness {v.witness})")
+    space = lifting.space
     fixed = tuple(q for q in averageable_sets(space) if lifting.table[q] == q)
     families = []
     support = 0
@@ -185,17 +179,17 @@ def basis_from_lifting(space: MeasureSpace, lifting: SetTransform) -> Differenti
                     f"family at point {x} is not directed: {witness}")
     if not is_null(space, space.full_mask ^ support):
         raise InternalCheckError("basis support misses a non-null set")
-    return DifferentiationBasis(space, fixed, tuple(families), support)
+    return tuple(families)
 
 
-def kernel_from_lifting(space: MeasureSpace, lifting: SetTransform) -> FilterKernel:
+def kernel_from_lifting(lifting: SetTransform) -> FilterKernel:
     """Tail filters of the lifting's basis, pushed onto the averageable
     sets.  A lifting fixes the whole space, which is averageable, so every
     point's family holds it and has a tail filter."""
-    basis = basis_from_lifting(space, lifting)
+    space = lifting.space
     ground = averageable_code(space)
     return FilterKernel(space, tuple(direct_image(lambda q: q, tail_filter(fam), ground)
-                                     for fam in basis.families))
+                                     for fam in basis_from_lifting(lifting)))
 
 
 #: The theorem-1 statements of one lifting, in the order they are decided.
@@ -246,20 +240,20 @@ class TheoremOneReport:
 NOT_REACHED = Verdict.fail(None, "not reached: an earlier statement failed")
 
 
-def _theorem1_stages(space: MeasureSpace, lifting: SetTransform, facts: dict):
+def _theorem1_stages(lifting: SetTransform, facts: dict):
     """Yield the statements' verdicts for one lifting, in STATEMENTS order;
     each stage consumes the one before, so the caller stops at a failure.
     Whether the rebuilt lifting is the starting one goes into ``facts``."""
-    kernel = kernel_from_lifting(space, lifting)
-    yield differentiates(space, kernel)
-    density = lower_density_from_kernel(space, kernel)
+    kernel = kernel_from_lifting(lifting)
+    yield differentiates(kernel)
+    density = lower_density_from_kernel(kernel)
     yield is_lower_density(density)
-    rebuilt = lower_density_to_lifting(space, density)
+    rebuilt = lower_density_to_lifting(density)
     facts["round_trip"] = rebuilt.table == lifting.table
     yield is_lifting(rebuilt)
-    rho = lifting_to_right_inverse(space, rebuilt)
-    yield is_boolean_homomorphism(space, rho)
-    yield is_right_inverse(space, rho)
+    rho = lifting_to_right_inverse(rebuilt)
+    yield is_boolean_homomorphism(rho)
+    yield is_right_inverse(rho)
 
 
 def verify_theorem1(space: MeasureSpace) -> TheoremOneReport:
@@ -280,7 +274,7 @@ def verify_theorem1(space: MeasureSpace) -> TheoremOneReport:
     for lifting in enumerate_liftings(space):
         facts: dict = {}
         verdicts = []
-        for verdict in _theorem1_stages(space, lifting, facts):
+        for verdict in _theorem1_stages(lifting, facts):
             verdicts.append(verdict)
             if not verdict:
                 break

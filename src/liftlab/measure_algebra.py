@@ -305,7 +305,7 @@ def _hom_failures(rho: BooleanHom, classes):
                 yield Verdict.fail((c, d), "meet not preserved")
 
 
-def is_boolean_homomorphism(space: MeasureSpace, rho: BooleanHom) -> Verdict:
+def is_boolean_homomorphism(rho: BooleanHom) -> Verdict:
     """Preservation of bottom, top, join, meet, and complement.
 
     Lemma: with bottom and complements preserved, joins are preserved iff
@@ -313,6 +313,7 @@ def is_boolean_homomorphism(space: MeasureSpace, rho: BooleanHom) -> Verdict:
     and meets then follow by De Morgan.  The pair loop over all classes
     runs only to find the first witness once the lemma fails.
     """
+    space = rho.space
     classes = algebra_classes(space)
     if rho(0) != 0:
         return Verdict.fail(0, "bottom class not sent to the empty set")
@@ -326,18 +327,19 @@ def is_boolean_homomorphism(space: MeasureSpace, rho: BooleanHom) -> Verdict:
     return _first(_hom_failures(rho, classes))
 
 
-def is_right_inverse(space: MeasureSpace, rho: BooleanHom) -> Verdict:
+def is_right_inverse(rho: BooleanHom) -> Verdict:
     """Projecting back must be the identity on every class."""
-    for c in algebra_classes(space):
-        if project(space, rho(c)) != c:
+    for c in algebra_classes(rho.space):
+        if project(rho.space, rho(c)) != c:
             return Verdict.fail(c, "projection of the section is not the identity")
     return Verdict.ok()
 
 
-def lifting_to_right_inverse(space: MeasureSpace, lifting: SetTransform) -> BooleanHom:
+def lifting_to_right_inverse(lifting: SetTransform) -> BooleanHom:
     """The hom induced on classes: well defined because the lifting is
     class-determined, and a section because it is an a.e. identity.  The
     input must be a lifting, which ``verify_theorem1`` decides just before."""
+    space = lifting.space
     return BooleanHom(space, {c: lifting.table[c] for c in algebra_classes(space)})
 
 
@@ -446,7 +448,7 @@ def sampled_lifting_oracle(space: MeasureSpace, samples: int, seed: int = 0) -> 
     return Verdict.ok(f"{samples} sampled tables agree with the enumeration")
 
 
-def lower_density_to_lifting(space: MeasureSpace, density: SetTransform) -> SetTransform:
+def lower_density_to_lifting(density: SetTransform) -> SetTransform:
     """Extend a lower density to a lifting.
 
     Point by point, the sets whose image contains the point form a
@@ -458,7 +460,7 @@ def lower_density_to_lifting(space: MeasureSpace, density: SetTransform) -> SetT
     density, which ``verify_theorem1`` decides just before; on another table
     a broken point family or sandwich raises ``InternalCheckError``.
     """
-    tab = density.table
+    space, tab = density.space, density.table
     # Lemma: a family that is up-closed and holds its meet is closed under
     # intersections.  Every point's family is up-closed iff the table is
     # monotone; the pair loop runs only where this does not settle it.

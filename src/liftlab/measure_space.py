@@ -114,24 +114,20 @@ def averageable_code(space: MeasureSpace) -> int:
 class PartialFn:
     """A rational-valued function defined on a subset of the atoms.
 
-    ``values`` is aligned with the atom list and is None exactly off the
-    domain mask.
+    ``values`` is aligned with the atom list, with None at each atom off
+    the domain; the domain mask is read off it.
     """
 
     space: MeasureSpace
-    domain: int
     values: tuple[Fraction | None, ...]
 
     def __post_init__(self):
-        self.space.check_set(self.domain)
         if len(self.values) != self.space.n:
             raise ValueError("values must align with the atom list")
-        for i, v in enumerate(self.values):
-            on = (self.domain >> i) & 1
-            if on and v is None:
-                raise ValueError(f"atom {i} in domain but has no value")
-            if not on and v is not None:
-                raise ValueError(f"atom {i} outside domain but has a value")
+
+    @property
+    def domain(self) -> int:
+        return sum(1 << i for i, v in enumerate(self.values) if v is not None)
 
     def __call__(self, atom: int) -> Fraction:
         v = self.values[atom]
@@ -140,7 +136,7 @@ class PartialFn:
         return v
 
     def defined_at(self, atom: int) -> bool:
-        return (self.domain >> atom) & 1 == 1
+        return self.values[atom] is not None
 
     def defined_ae(self) -> bool:
         """True when the undefined set is null."""
@@ -148,14 +144,12 @@ class PartialFn:
 
 
 def total_fn(space: MeasureSpace, values: Sequence) -> PartialFn:
-    if len(values) != space.n:
-        raise ValueError("need one value per atom")
-    return PartialFn(space, space.full_mask, tuple(as_fraction(v) for v in values))
+    return PartialFn(space, tuple(as_fraction(v) for v in values))
 
 
 def indicator(space: MeasureSpace, q: int) -> PartialFn:
     """The total 0/1 function of a set."""
     space.check_set(q)
     vals = tuple(Fraction(1) if (q >> i) & 1 else Fraction(0) for i in range(space.n))
-    return PartialFn(space, space.full_mask, vals)
+    return PartialFn(space, vals)
 

@@ -14,7 +14,7 @@ from math import comb
 from . import __version__, partial_magma
 from .category_kernel import (NAMED_SHAPES, FiniteCategory, enumerate_functors,
                               enumerate_nat_homs, enumerate_nat_trans,
-                              hom_from_nat, hom_recapture, named_categories,
+                              hom_from_nat, hom_recapture, named_category,
                               named_magmas, nat_from_hom, twin_category)
 from .filter_calculus import base_generation_oracle, principality_oracle
 from .lebesgue_diff import (differentiates, kernel_from_lifting,
@@ -79,14 +79,14 @@ def _check_random_recovery(seed: int) -> dict:
     for weights in ([1, 1, 0], [1, 1, 0, 0], [2, 3, 0]):
         space = build_space(weights)
         for lifting in enumerate_liftings(space):
-            kernel = kernel_from_lifting(space, lifting)
-            d = differentiates(space, kernel)
+            kernel = kernel_from_lifting(lifting)
+            d = differentiates(kernel)
             if not d:
                 return {"pass": False, "witness": jsonable(d.witness), "weights": weights}
             for _ in range(25):
                 f = random_total_fn(space, rng)
                 tried += 1
-                v = recovers(space, kernel, f)
+                v = recovers(kernel, f)
                 if not v:
                     return {"pass": False, "witness": jsonable(v.witness),
                             "weights": weights}
@@ -201,8 +201,7 @@ def _check_cat_roundtrips(seed: int) -> dict:
 def natequiv_report(source_name: str, target_name: str) -> dict:
     """Count both encodings of transformations for every functor pair and
     confirm the converters are mutually inverse."""
-    cats = named_categories()
-    c, d = cats[source_name], cats[target_name]
+    c, d = named_category(source_name), named_category(target_name)
     functors = enumerate_functors(c, d)
     hom_total = trans_total = 0
     pair_mismatches = []
@@ -212,13 +211,10 @@ def natequiv_report(source_name: str, target_name: str) -> dict:
             trans = enumerate_nat_trans(t, s)
             hom_total += len(homs)
             trans_total += len(trans)
-            if len(homs) != len(trans):
-                pair_mismatches.append((t.arrow_map, s.arrow_map))
-                continue
             converted = [nat_from_hom(a) for a in homs]
-            if {nat.components for nat in converted} != {tau.components for tau in trans}:
-                pair_mismatches.append((t.arrow_map, s.arrow_map))
-            if any(hom_from_nat(nat) != a for nat, a in zip(converted, homs)):
+            components = {nat.components for nat in converted}
+            if (len(homs) != len(trans) or components != {tau.components for tau in trans}
+                    or any(hom_from_nat(nat) != a for nat, a in zip(converted, homs))):
                 pair_mismatches.append((t.arrow_map, s.arrow_map))
     return {
         "pass": hom_total == trans_total and not pair_mismatches,
@@ -236,14 +232,14 @@ def _check_natequiv_2_3(seed: int) -> dict:
 
 
 def _check_twin_categories(seed: int) -> dict:
-    cats = named_categories()
     details = {}
     failed = []
     for name in ("1", "2", "3"):
-        tw = twin_category(cats[name])
+        base = named_category(name)
+        tw = twin_category(base)
         details[name] = {"objects": len(tw.category.objects),
                          "arrows": tw.category.pm.n}
-        v = hom_recapture(cats[name], tw)
+        v = hom_recapture(base, tw)
         if not v:
             failed.append([name, v.witness])
     return _outcome(failed, twins=details)

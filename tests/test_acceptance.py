@@ -63,7 +63,7 @@ def fixture_spaces():
 def lifting_kernels():
     for space in fixture_spaces():
         for lifting in enumerate_liftings(space):
-            yield space, lifting, kernel_from_lifting(space, lifting)
+            yield space, lifting, kernel_from_lifting(lifting)
 
 
 def test_criterion_01_lifting_enumeration_oracle(s1):
@@ -82,10 +82,10 @@ def test_criterion_02_kernels_differentiate():
     checked = 0
     for space, lifting, kernel in lifting_kernels():
         for q in range(space.full_mask + 1):
-            if not recovers(space, kernel, indicator(space, q)):
+            if not recovers(kernel, indicator(space, q)):
                 ok = False
         for _ in range(100):
-            if not recovers(space, kernel, random_total_fn(space, rng)):
+            if not recovers(kernel, random_total_fn(space, rng)):
                 ok = False
         checked += 1
     _report(2, f"kernels of all {checked} liftings on <=5-atom spaces recover "
@@ -97,24 +97,23 @@ def test_criterion_03_kernels_induce_sections():
     start = time.monotonic()
     ok = True
     for space, lifting, kernel in lifting_kernels():
-        density = lower_density_from_kernel(space, kernel)
+        density = lower_density_from_kernel(kernel)
         if not is_lower_density(density):
             ok = False
-        rebuilt = lower_density_to_lifting(space, density)
+        rebuilt = lower_density_to_lifting(density)
         if not is_lifting(rebuilt):
             ok = False
-        rho = lifting_to_right_inverse(space, rebuilt)
-        if not (is_boolean_homomorphism(space, rho)
-                and is_right_inverse(space, rho)):
+        rho = lifting_to_right_inverse(rebuilt)
+        if not (is_boolean_homomorphism(rho)
+                and is_right_inverse(rho)):
             ok = False
         if not all(project(space, rho(c)) == c for c in algebra_classes(space)):
             ok = False
     for weights in ([1, 1, 0], [1, 1, 0, 0]):
         space = build_space(weights)
         for lifting in enumerate_liftings(space):
-            kernel = kernel_from_lifting(space, lifting)
-            rebuilt = lower_density_to_lifting(
-                space, lower_density_from_kernel(space, kernel))
+            kernel = kernel_from_lifting(lifting)
+            rebuilt = lower_density_to_lifting(lower_density_from_kernel(kernel))
             if rebuilt.table != lifting.table:
                 ok = False
     _report(3, "every kernel from criterion 2 yields a verified Boolean "
@@ -220,8 +219,8 @@ def _relabelled(pm, perm) -> list:
 
 #: Input documents of the pinned commands: M6 (the category 3) and MSQ (the
 #: square) relabelled so that their units are not listed first, truncated
-#: subtraction, and the null monoid on four elements (0 is the unit, every
-#: product of two non-units is 1).
+#: subtraction, the null monoid on four elements (0 is the unit, every
+#: product of two non-units is 1), and two measure spaces with null atoms.
 COMMAND_DOCUMENTS = {
     "m6": {"kind": "partial_magma", "n": 6,
            "table": _relabelled(named_magmas()["M6"], [4, 1, 3, 2, 5, 0])},
@@ -232,6 +231,8 @@ COMMAND_DOCUMENTS = {
     "null4": {"kind": "category", "n": 4,
               "table": [[y if x == 0 else x if y == 0 else 1 for y in range(4)]
                         for x in range(4)]},
+    "s1": {"kind": "measure_space", "weights": ["1", "1", "0"]},
+    "six_atoms": {"kind": "measure_space", "weights": ["1", "0", "2", "5", "0", "1"]},
 }
 
 #: sha256 of stdout per command line, as ``REPORT_DIGESTS``; "-" reads the
@@ -257,6 +258,14 @@ COMMAND_DIGESTS = {
         "765d3d70283a1defd47faef5dbc3c6459d190ad7a3d229355a90255997a3d297",
     ("cat", "natequiv", "--source", "3", "--target", "SQ", None, "text"):
         "1b1400f582d9ac2c9055825afdbf2413f1516bcd45c33488668a3da5363c1894",
+    ("space", "theorem1", "-", "s1", "json"):
+        "c3c7249b5957e3c38bb9bb95e3b353b94954a4da01c5558771e05f8c01598564",
+    ("space", "theorem1", "-", "s1", "text"):
+        "83ee680a6ca71fb23b6cc53f839464f0d8fc34cf9d8fda8e29ca909af399ca29",
+    ("space", "theorem1", "-", "six_atoms", "json"):
+        "d3b3203a85e7b2db2ee9f1dd5c3b27ccf451d9be10ef07c373feb72aadff12c9",
+    ("space", "theorem1", "-", "six_atoms", "text"):
+        "6b15bf7cc990509106ddc102e739edf6df4f43419ccb0f3ef7f78feb361448db",
 }
 
 

@@ -51,7 +51,8 @@ def _empty_set_not_fixed(real, space, g):
     return SetTransform(space, (table[0] | 1,) + table[1:])
 
 
-def _trivial_kernel(real, space, lifting):
+def _trivial_kernel(real, lifting):
+    space = lifting.space
     ground = measure_space.averageable_code(space)
     return lebesgue_diff.FilterKernel(
         space, (filter_calculus.Filter(ground, ground),) * space.n)
@@ -82,7 +83,7 @@ def _units_reversed(real, pm):
 
 
 def _twin_of_one_object(real, cat):
-    return real(suite.named_categories()["1"])
+    return real(suite.named_category("1"))
 
 
 def _first_transformation_lost(real, t, s):
@@ -200,3 +201,17 @@ def test_a_lost_regular_magma_fails_both_count_checks(monkeypatch):
         out = suite.run_check(name)
         assert out["pass"] is False
         assert out["witness"] == out["regular_counts"] == {"1": 1, "2": 5, "3": 51}
+
+
+def _identity_components(real, alpha):
+    # every converted transformation comes out as the identity on its source
+    return real(category_kernel.identity_nat_hom(alpha.source))
+
+
+def test_a_pair_failing_both_comparisons_is_listed_once(monkeypatch):
+    # off the diagonal, both the component sets and the round trip differ
+    wrap(monkeypatch, suite, "nat_from_hom", _identity_components)
+    rep = suite.natequiv_report("2", "3")
+    assert rep["pass"] is False
+    pairs = [str(pair) for pair in rep["mismatched_pairs"]]
+    assert len(pairs) == len(set(pairs)) == 14

@@ -196,7 +196,7 @@ class TestBooleanHomLemma:
     def test_lemma_gives_the_loops_verdict_and_witness(self, t):
         space = t.space
         rho = BooleanHom(space, {c: t.table[c] for c in algebra_classes(space)})
-        assert (is_boolean_homomorphism(space, rho).to_dict()
+        assert (is_boolean_homomorphism(rho).to_dict()
                 == loop_boolean_hom(space, rho).to_dict())
 
     @settings(max_examples=200, deadline=None)
@@ -212,7 +212,7 @@ class TestBooleanHomLemma:
             table[c] ^= bit
             table[class_complement(space, c)] ^= bit
         rho = BooleanHom(space, table)
-        assert (is_boolean_homomorphism(space, rho).to_dict()
+        assert (is_boolean_homomorphism(rho).to_dict()
                 == loop_boolean_hom(space, rho).to_dict())
 
     def test_every_section_with_two_complement_pairs_moved_at_a_point(self):
@@ -228,7 +228,7 @@ class TestBooleanHomLemma:
                         table[c] ^= 1 << x
                         table[class_complement(space, c)] ^= 1 << x
                     rho = BooleanHom(space, table)
-                    assert (is_boolean_homomorphism(space, rho).to_dict()
+                    assert (is_boolean_homomorphism(rho).to_dict()
                             == loop_boolean_hom(space, rho).to_dict())
 
 
@@ -277,7 +277,7 @@ def family_error(space, tab):
     """Run lower_density_to_lifting on any table and name the family error
     it raised, if any."""
     try:
-        lower_density_to_lifting(space, SetTransform(space, tuple(tab)))
+        lower_density_to_lifting(SetTransform(space, tuple(tab)))
     except InternalCheckError as exc:
         for name in ("empty set family", "not intersection-closed", "improper filter"):
             if name in str(exc):
@@ -296,4 +296,4 @@ class TestIntersectionClosureLemma:
     def test_every_lifting_extends_to_itself(self, weights):
         space = build_space(weights)
         for lifting in enumerate_liftings(space):
-            assert lower_density_to_lifting(space, lifting).table == lifting.table
+            assert lower_density_to_lifting(lifting).table == lifting.table

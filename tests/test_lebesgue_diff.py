@@ -28,7 +28,7 @@ LAMBDA_B = (0, 1, 6, 7, 0, 1, 6, 7)
 
 
 def lambda_a_kernel(s1):
-    return kernel_from_lifting(s1, SetTransform(s1, LAMBDA_A))
+    return kernel_from_lifting(SetTransform(s1, LAMBDA_A))
 
 
 def trivial_kernel(space):
@@ -39,36 +39,36 @@ def trivial_kernel(space):
 
 class TestLebesgueTransform:
     def test_worked_fixture(self, s1):
-        lam = lebesgue_transform(s1, total_fn(s1, [2, 4, 100]))
+        lam = lebesgue_transform(total_fn(s1, [2, 4, 100]))
         assert lam.values == {1: 2, 2: 4, 3: 3, 5: 2, 6: 4, 7: 3}
 
     def test_constant_function_has_constant_means(self, s1):
-        lam = lebesgue_transform(s1, total_fn(s1, [5, 5, 5]))
+        lam = lebesgue_transform(total_fn(s1, [5, 5, 5]))
         assert set(lam.values.values()) == {5}
 
     def test_matches_conditional_probability(self, s1):
         # mean of an indicator over a set = conditional probability
         for q in range(8):
-            lam = lebesgue_transform(s1, indicator(s1, q))
+            lam = lebesgue_transform(indicator(s1, q))
             for ref in averageable_sets(s1):
                 assert lam(ref) == measure(s1, q & ref) / measure(s1, ref)
 
     def test_representative_independence(self, s1):
         full = total_fn(s1, [2, 4, 100])
         other = total_fn(s1, [2, 4, -9])
-        partial = PartialFn(s1, A | B, (Fraction(2), Fraction(4), None))
-        assert (lebesgue_transform(s1, full).values
-                == lebesgue_transform(s1, other).values
-                == lebesgue_transform(s1, partial).values)
+        partial = PartialFn(s1, (Fraction(2), Fraction(4), None))
+        assert (lebesgue_transform(full).values
+                == lebesgue_transform(other).values
+                == lebesgue_transform(partial).values)
 
     def test_rejects_functions_undefined_on_positive_atoms(self, s1):
         with pytest.raises(ValueError, match="almost everywhere"):
-            lebesgue_transform(s1, PartialFn(s1, A, (Fraction(1), None, None)))
+            lebesgue_transform(PartialFn(s1, (Fraction(1), None, None)))
 
     def test_injective_on_indicator_classes(self, s1):
         seen = {}
         for q in range(8):
-            key = tuple(sorted(lebesgue_transform(s1, indicator(s1, q)).values.items()))
+            key = tuple(sorted(lebesgue_transform(indicator(s1, q)).values.items()))
             cls = q & s1.pos_mask
             assert seen.setdefault(key, cls) == cls
 
@@ -78,8 +78,8 @@ class TestLebesgueTransform:
             f = random_total_fn(s1, rng)
             g = random_total_fn(s1, rng)
             same_class = all(f(i) == g(i) for i in (0, 1))
-            same_transform = (lebesgue_transform(s1, f).values
-                              == lebesgue_transform(s1, g).values)
+            same_transform = (lebesgue_transform(f).values
+                              == lebesgue_transform(g).values)
             assert same_class == same_transform
 
 
@@ -95,8 +95,7 @@ def spaces_and_functions(draw):
     values = tuple(draw(st.fractions(-20, 20, max_denominator=6))
                    if (space.pos_mask >> x) & 1 or draw(st.booleans()) else None
                    for x in range(space.n))
-    domain = sum(1 << x for x, v in enumerate(values) if v is not None)
-    return space, PartialFn(space, domain, values)
+    return space, PartialFn(space, values)
 
 
 def eager_means(space, f):
@@ -111,7 +110,7 @@ class TestLazyMeans:
     def test_every_mean_equals_the_eager_formula(self, case, rng):
         space, f = case
         eager = eager_means(space, f)
-        lam = lebesgue_transform(space, f)
+        lam = lebesgue_transform(f)
         order = list(averageable_sets(space))
         rng.shuffle(order)
         for q in order + order:  # a second read comes from the cache
@@ -122,7 +121,7 @@ class TestLazyMeans:
     @given(spaces_and_functions())
     def test_key_error_off_the_averageable_sets(self, case):
         space, f = case
-        values = lebesgue_transform(space, f).values
+        values = lebesgue_transform(f).values
         for q in (0, space.full_mask + 1, -1, *range(1, space.full_mask + 1)):
             if q in averageable_sets(space):
                 assert q in values
@@ -132,13 +131,13 @@ class TestLazyMeans:
                 values[q]
 
     def test_null_sets_raise_key_error(self, s2):
-        values = lebesgue_transform(s2, total_fn(s2, [1, 2, 3, 4])).values
+        values = lebesgue_transform(total_fn(s2, [1, 2, 3, 4])).values
         for q in (0, 4, 8, 12):
             with pytest.raises(KeyError):
                 values[q]
 
     def test_length_and_keys_compute_no_mean(self, s2, monkeypatch):
-        lam = lebesgue_transform(s2, total_fn(s2, [1, 2, 3, 4]))
+        lam = lebesgue_transform(total_fn(s2, [1, 2, 3, 4]))
         read = []
         monkeypatch.setattr(leb, "bits", lambda q: read.append(q) or bits(q))
         assert len(lam.values) == len(averageable_sets(s2)) == 12
@@ -183,28 +182,39 @@ class TestFilterKernel:
 
 class TestLimitingOperator:
     def test_trivial_kernel_nonconstant_defined_nowhere(self, s1):
-        lam = lebesgue_transform(s1, total_fn(s1, [2, 4, 0]))
-        out = limiting_operator(s1, trivial_kernel(s1), lam)
+        lam = lebesgue_transform(total_fn(s1, [2, 4, 0]))
+        out = limiting_operator(trivial_kernel(s1), lam)
         assert out.domain == 0
 
     def test_trivial_kernel_constant_defined_everywhere(self, s1):
-        lam = lebesgue_transform(s1, total_fn(s1, [3, 3, 3]))
-        out = limiting_operator(s1, trivial_kernel(s1), lam)
+        lam = lebesgue_transform(total_fn(s1, [3, 3, 3]))
+        out = limiting_operator(trivial_kernel(s1), lam)
         assert out.domain == s1.full_mask
         assert set(out.values) == {3}
 
     def test_lifting_kernel_recovers_fixture(self, s1):
-        lam = lebesgue_transform(s1, total_fn(s1, [2, 4, 100]))
-        out = limiting_operator(s1, lambda_a_kernel(s1), lam)
+        lam = lebesgue_transform(total_fn(s1, [2, 4, 100]))
+        out = limiting_operator(lambda_a_kernel(s1), lam)
         assert out.values == (2, 4, 2)
+
+    def test_kernel_and_means_on_different_spaces_rejected(self, s1, s2):
+        lam = lebesgue_transform(total_fn(s2, [1, 2, 3, 4]))
+        with pytest.raises(ValueError, match="different spaces"):
+            limiting_operator(lambda_a_kernel(s1), lam)
+        same_weights = build_space(s1.weights)  # equal spaces meet fine
+        out = limiting_operator(lambda_a_kernel(s1),
+                                lebesgue_transform(total_fn(same_weights, [2, 4, 100])))
+        assert out.values == (2, 4, 2)
+        with pytest.raises(ValueError, match="different spaces"):
+            recovers(lambda_a_kernel(s1), total_fn(s2, [1, 2, 3, 4]))
 
 
 class TestDifferentiates:
     def test_lifting_kernel_differentiates(self, s1):
-        assert differentiates(s1, lambda_a_kernel(s1))
+        assert differentiates(lambda_a_kernel(s1))
 
     def test_trivial_kernel_fails_on_an_indicator(self, s1):
-        v = differentiates(s1, trivial_kernel(s1))
+        v = differentiates(trivial_kernel(s1))
         assert not v and v.witness[0] == (A, None)[0]
 
     def test_single_positive_atom_space_always_differentiates(self):
@@ -215,7 +225,7 @@ class TestDifferentiates:
             kernels.append(FilterKernel(
                 sp, tuple(principal_ultrafilter(ground, q) for _ in range(2))))
         for kernel in kernels:
-            assert differentiates(sp, kernel)
+            assert differentiates(kernel)
 
     def test_family_reduction_against_random_functions(self):
         # if the positive atoms' indicators are recovered, random
@@ -229,19 +239,19 @@ class TestDifferentiates:
                     Filter(ground, sum(1 << q for q in rng.sample(sets, rng.randint(1, 3))))
                     for _ in range(sp.n))
                 kernel = FilterKernel(sp, filters)
-                if differentiates(sp, kernel):
+                if differentiates(kernel):
                     for _ in range(60):
-                        assert recovers(sp, kernel, random_total_fn(sp, rng))
+                        assert recovers(kernel, random_total_fn(sp, rng))
 
 
 def differentiates_oracle(space, kernel):
     """The literal family: every indicator in mask order, then one function
     with pairwise distinct values on the atoms."""
     for q in range(space.full_mask + 1):
-        v = recovers(space, kernel, indicator(space, q))
+        v = recovers(kernel, indicator(space, q))
         if not v:
             return Verdict.fail((q, v.witness), f"indicator of {q:#b}: {v.reason}")
-    v = recovers(space, kernel, total_fn(space, [Fraction(i + 1) for i in range(space.n)]))
+    v = recovers(kernel, total_fn(space, [Fraction(i + 1) for i in range(space.n)]))
     if not v:
         return Verdict.fail(("separating", v.witness), v.reason)
     return Verdict.ok()
@@ -290,22 +300,22 @@ class TestDifferentiatesOracle:
                         [2, 1, 0, 0], [1, 1, 1, 1, 0, 0], [1, 2, 3]):
             sp = build_space(weights)
             for lift in enumerate_liftings(sp):
-                kernel = kernel_from_lifting(sp, lift)
-                assert (differentiates(sp, kernel).to_dict()
+                kernel = kernel_from_lifting(lift)
+                assert (differentiates(kernel).to_dict()
                         == differentiates_oracle(sp, kernel).to_dict())
 
     @settings(max_examples=300, deadline=None)
     @given(spaces_and_kernels())
     def test_drawn_kernels(self, case):
         space, kernel = case
-        assert (differentiates(space, kernel).to_dict()
+        assert (differentiates(kernel).to_dict()
                 == differentiates_oracle(space, kernel).to_dict())
 
 
 class TestLowerDensityFromKernel:
     def test_fixture_table(self, s1):
         kernel = lambda_a_kernel(s1)
-        density = lower_density_from_kernel(s1, kernel)
+        density = lower_density_from_kernel(kernel)
         assert density.table == LAMBDA_A
         assert density.table[A] == (A | N)
         assert density.table[0] == 0
@@ -314,7 +324,7 @@ class TestLowerDensityFromKernel:
 
     def test_rejects_non_differentiating_kernel(self, s1):
         # the trivial kernel's limits exist only where an indicator is a.e. constant
-        density = lower_density_from_kernel(s1, trivial_kernel(s1))
+        density = lower_density_from_kernel(trivial_kernel(s1))
         v = ma.is_lower_density(density)
         assert not v and v.reason.startswith("ae_identity")
         assert v.witness == 1
@@ -322,21 +332,21 @@ class TestLowerDensityFromKernel:
 
 class TestBasisFromLifting:
     def test_fixed_points_of_lambda_a(self, s1):
-        basis = basis_from_lifting(s1, SetTransform(s1, LAMBDA_A))
-        assert basis.collection == (2, 5, 7)
-        assert basis.support == s1.full_mask
-        assert basis.families[0] == (5, 7)   # directed, least element {a,n}
-        assert basis.families[1] == (2, 7)
-        assert basis.families[2] == (5, 7)
+        families = basis_from_lifting(SetTransform(s1, LAMBDA_A))
+        assert sorted(set().union(*families)) == [2, 5, 7]  # the fixed points
+        assert families[0] == (5, 7)   # directed, least element {a,n}
+        assert families[1] == (2, 7)
+        assert families[2] == (5, 7)
 
     def test_identity_on_null_free_space_fixes_everything(self, no_null):
         [identity] = enumerate_liftings(no_null)
-        basis = basis_from_lifting(no_null, identity)
-        assert basis.collection == averageable_sets(no_null)
+        families = basis_from_lifting(identity)
+        assert families == tuple(tuple(q for q in averageable_sets(no_null) if q >> x & 1)
+                                 for x in range(no_null.n))
 
     def test_rejects_non_lifting(self, s1):
         with pytest.raises(ValueError, match="not a lifting"):
-            basis_from_lifting(s1, SetTransform(s1, (0, 1, 2, 7, 0, 1, 2, 7)))
+            basis_from_lifting(SetTransform(s1, (0, 1, 2, 7, 0, 1, 2, 7)))
 
 
 class TestKernelFromLifting:
@@ -348,14 +358,14 @@ class TestKernelFromLifting:
         from liftlab.filter_calculus import is_ultrafilter
         for sp in (s1, s2):
             for lift in enumerate_liftings(sp):
-                kernel = kernel_from_lifting(sp, lift)
+                kernel = kernel_from_lifting(lift)
                 for f in kernel.filters:
                     assert is_ultrafilter(f)
 
     def test_single_positive_atom_space(self):
         sp = build_space([1, 0, 0])
         [lift] = enumerate_liftings(sp)
-        kernel = kernel_from_lifting(sp, lift)
+        kernel = kernel_from_lifting(lift)
         # the lifting fixes only the whole space, so every point sees the
         # principal filter at that unique basis minimum
         assert lift.table[sp.full_mask] == sp.full_mask
@@ -371,11 +381,10 @@ class TestRoundTrips:
             for lift in enumerate_liftings(sp):
                 from liftlab.measure_algebra import lifting_retraction
                 g = lifting_retraction(lift)
-                kernel = kernel_from_lifting(sp, lift)
+                kernel = kernel_from_lifting(lift)
                 for _ in range(10):
                     f = random_total_fn(sp, rng)
-                    out = limiting_operator(sp, kernel,
-                                            lebesgue_transform(sp, f))
+                    out = limiting_operator(kernel, lebesgue_transform(f))
                     for x in range(sp.n):
                         assert out(x) == f(g[x])
 
@@ -384,8 +393,8 @@ class TestRoundTrips:
                         [1, 1, 1, 1, 0, 0]):
             sp = build_space(weights)
             for lift in enumerate_liftings(sp):
-                kernel = kernel_from_lifting(sp, lift)
-                assert lower_density_from_kernel(sp, kernel).table == lift.table
+                kernel = kernel_from_lifting(lift)
+                assert lower_density_from_kernel(kernel).table == lift.table
 
 
 class TestTheoremOne:
@@ -452,32 +461,34 @@ class TestTheoremOneCallCounts:
         }
 
 
-def _trivial_kernel_stage(space, lifting):
-    return trivial_kernel(space)
+def _trivial_kernel_stage(lifting):
+    return trivial_kernel(lifting.space)
 
 
-def _no_ambient_density_stage(space, kernel):
-    table = list(lower_density_from_kernel(space, kernel).table)
-    table[space.full_mask] = 0
-    return SetTransform(space, tuple(table))
+def _no_ambient_density_stage(kernel):
+    table = list(lower_density_from_kernel(kernel).table)
+    table[kernel.space.full_mask] = 0
+    return SetTransform(kernel.space, tuple(table))
 
 
-def _identity_lifting_stage(space, density):
+def _identity_lifting_stage(density):
+    space = density.space
     return SetTransform(space, tuple(range(space.full_mask + 1)))
 
 
-def _identity_section_stage(space, lifting):
+def _identity_section_stage(lifting):
+    space = lifting.space
     return BooleanHom(space, {c: c for c in ma.algebra_classes(space)})
 
 
-def _swapped_section_stage(space, lifting):
+def _swapped_section_stage(lifting):
     # a Boolean hom that is no section: it swaps the positive atoms 0 and 1
-    rho = ma.lifting_to_right_inverse(space, lifting)
+    rho = ma.lifting_to_right_inverse(lifting)
 
     def swap(c):
         return (c & ~3) | ((c & 1) << 1) | ((c >> 1) & 1)
 
-    return BooleanHom(space, {c: rho(swap(c)) for c in rho.table})
+    return BooleanHom(lifting.space, {c: rho(swap(c)) for c in rho.table})
 
 
 #: Per entry field: the stage broken to make it fail, and a stand-in.
@@ -526,9 +537,9 @@ class TestTheoremOneFaults:
         assert report["lifting_count"] == 2
 
 
-def _other_lifting_stage(space, density):
+def _other_lifting_stage(density):
     # a genuine lifting, but the other one of [1, 1, 0]
-    return SetTransform(space, LAMBDA_B if density.table == LAMBDA_A else LAMBDA_A)
+    return SetTransform(density.space, LAMBDA_B if density.table == LAMBDA_A else LAMBDA_A)
 
 
 def test_cli_fails_a_round_trip_that_lands_elsewhere(s1, monkeypatch, tmp_path):

@@ -153,12 +153,12 @@ class TestImplicationSuite:
 class TestLowerDensityToLifting:
     def test_density_only_extends_to_lambda_a(self, s1):
         # the deterministic refinement picks the lowest-indexed atom
-        lifted = lower_density_to_lifting(s1, SetTransform(s1, DENSITY_ONLY))
+        lifted = lower_density_to_lifting(SetTransform(s1, DENSITY_ONLY))
         assert lifted.table == LAMBDA_A
 
     def test_subordination_sandwich(self, s1):
         density = SetTransform(s1, DENSITY_ONLY)
-        lifted = lower_density_to_lifting(s1, density)
+        lifted = lower_density_to_lifting(density)
         full = s1.full_mask
         for q in range(8):
             assert density.table[q] & ~lifted.table[q] == 0
@@ -166,12 +166,12 @@ class TestLowerDensityToLifting:
 
     def test_lifting_input_is_returned_unchanged(self, s1):
         for table in (LAMBDA_A, LAMBDA_B):
-            lifted = lower_density_to_lifting(s1, SetTransform(s1, table))
+            lifted = lower_density_to_lifting(SetTransform(s1, table))
             assert lifted.table == table
 
     def test_trivial_quotient_identity(self, no_null):
         t = identity_transform(no_null)
-        assert lower_density_to_lifting(no_null, t).table == t.table
+        assert lower_density_to_lifting(t).table == t.table
 
     def test_one_positive_atom_space_has_unique_lifting(self):
         sp = build_space([1, 0, 0])
@@ -179,7 +179,7 @@ class TestLowerDensityToLifting:
         table = tuple(7 if q & 1 else 0 for q in range(8))
         density = SetTransform(sp, table)
         assert is_lower_density(density)
-        lifted = lower_density_to_lifting(sp, density)
+        lifted = lower_density_to_lifting(density)
         assert lifting_retraction(lifted) == (0, 0, 0)
         [unique] = enumerate_liftings(sp)
         assert lifted.table == unique.table
@@ -187,43 +187,43 @@ class TestLowerDensityToLifting:
     def test_rejects_non_density_with_failing_property(self, s1):
         # no image holds the null atom, so its set family is empty
         with pytest.raises(InternalCheckError, match="point 2 has an empty set family"):
-            lower_density_to_lifting(s1, SetTransform(s1, STRIP_NULLS))
+            lower_density_to_lifting(SetTransform(s1, STRIP_NULLS))
 
 
 class TestRightInverse:
     def test_section_of_lambda_a(self, s1):
-        rho = lifting_to_right_inverse(s1, SetTransform(s1, LAMBDA_A))
+        rho = lifting_to_right_inverse(SetTransform(s1, LAMBDA_A))
         assert rho(project(s1, A)) == (A | N)
         assert rho(0) == 0
         assert rho(project(s1, s1.full_mask)) == s1.full_mask
 
     def test_projection_composed_with_section_is_identity(self, s1):
-        rho = lifting_to_right_inverse(s1, SetTransform(s1, LAMBDA_A))
-        assert is_right_inverse(s1, rho)
+        rho = lifting_to_right_inverse(SetTransform(s1, LAMBDA_A))
+        assert is_right_inverse(rho)
         for c in algebra_classes(s1):
             assert project(s1, rho(c)) == c
 
     def test_rejects_non_lifting(self, s1):
-        rho = lifting_to_right_inverse(s1, SetTransform(s1, DENSITY_ONLY))
-        v = is_boolean_homomorphism(s1, rho)
+        rho = lifting_to_right_inverse(SetTransform(s1, DENSITY_ONLY))
+        v = is_boolean_homomorphism(rho)
         assert not v and v.reason == "complement not preserved"
         assert v.witness == 1
 
 
 class TestBooleanHom:
     def test_section_from_lifting_is_hom(self, s1):
-        rho = lifting_to_right_inverse(s1, SetTransform(s1, LAMBDA_A))
-        assert is_boolean_homomorphism(s1, rho)
+        rho = lifting_to_right_inverse(SetTransform(s1, LAMBDA_A))
+        assert is_boolean_homomorphism(rho)
 
     def test_arbitrary_section_fails_join(self, s1):
         rho = BooleanHom(s1, {0: 0, 1: A, 2: B, 3: s1.full_mask})
-        v = is_boolean_homomorphism(s1, rho)
+        v = is_boolean_homomorphism(rho)
         assert not v
         assert v.reason in ("join not preserved", "complement not preserved")
 
     def test_identity_on_trivial_quotient(self, no_null):
         rho = BooleanHom(no_null, {c: c for c in algebra_classes(no_null)})
-        assert is_boolean_homomorphism(no_null, rho)
+        assert is_boolean_homomorphism(rho)
 
 
 class TestEnumerateLiftings:

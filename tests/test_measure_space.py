@@ -23,14 +23,12 @@ def conditional_prob(space, q, qp):
 def partial_fn(space, mapping):
     """The function with the given values at the given atoms, undefined
     elsewhere."""
-    domain = 0
     values = [None] * space.n
     for atom, v in mapping.items():
         if not 0 <= atom < space.n:
             raise ValueError(f"atom {atom} out of range")
-        domain |= 1 << atom
         values[atom] = as_fraction(v)
-    return PartialFn(space, domain, tuple(values))
+    return PartialFn(space, tuple(values))
 
 
 def all_sets(space):
@@ -203,10 +201,19 @@ class TestConditionalProb:
 
 class TestPartialFn:
     def test_domain_value_alignment(self, s1):
-        with pytest.raises(ValueError):
-            PartialFn(s1, A, (None, None, None))
-        with pytest.raises(ValueError):
-            PartialFn(s1, 0, (Fraction(1), None, None))
+        # one value or None per atom; the domain is read off the values
+        for values in ((None, None), (Fraction(1), None, None, None)):
+            with pytest.raises(ValueError, match="align with the atom list"):
+                PartialFn(s1, values)
+        assert PartialFn(s1, (Fraction(1), None, None)).domain == A
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.none(), st.fractions(-5, 5, max_denominator=3)),
+                    min_size=3, max_size=3))
+    def test_domain_is_the_atoms_with_a_value(self, s1, values):
+        f = PartialFn(s1, tuple(values))
+        assert f.domain == sum(1 << x for x, v in enumerate(values) if v is not None)
+        assert [f.defined_at(x) for x in range(3)] == [v is not None for v in values]
 
     def test_partial_fn_builder(self, s1):
         f = partial_fn(s1, {0: "1/3", 1: 2})

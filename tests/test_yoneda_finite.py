@@ -444,8 +444,8 @@ class TestCrossModuleAgreement:
         # to the 0/1 mean-value profile of a set, recovers the set picked
         # by the induced density
         lifting = SetTransform(s1, LAMBDA_A)
-        kernel = kernel_from_lifting(s1, lifting)
-        density = lower_density_from_kernel(s1, kernel)
+        kernel = kernel_from_lifting(lifting)
+        density = lower_density_from_kernel(kernel)
         # Z is range(8), every set mask of s1; the kernel's filters live on
         # its averageable members and never read the sets 0 and 0b100
         z_len = s1.full_mask + 1
@@ -459,7 +459,7 @@ class TestCrossModuleAgreement:
             for fn in all_functions(z_len, s):
                 assert tau.value(s, fn) == _limit_value(kernel.filters, fn)
         for q in range(s1.full_mask + 1):
-            lam = lebesgue_transform(s1, indicator(s1, q))
+            lam = lebesgue_transform(indicator(s1, q))
             profile = tuple(1 if z in ground and lam(z) == 1 else 0
                             for z in range(z_len))
             picked = tau.value(2, profile)
@@ -467,7 +467,7 @@ class TestCrossModuleAgreement:
             assert mask == density.table[q]
 
     def test_kernel_entries_are_ultrafilters(self, s1):
-        kernel = kernel_from_lifting(s1, SetTransform(s1, LAMBDA_A))
+        kernel = kernel_from_lifting(SetTransform(s1, LAMBDA_A))
         assert all(is_ultrafilter(f) for f in kernel.filters)
 
 

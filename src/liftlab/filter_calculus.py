@@ -98,11 +98,14 @@ def limit_along(f: Filter, lam: Callable):
     The filter is principal, so its image under ``lam`` is the filter of
     supersets of ``lam``'s values on the kernel.  In a T1 space that image
     converges iff those values are a single point, which is then the limit.
+    Each value is compared with the first one, so none is hashed.
     """
-    values = {lam(e) for e in bits(f.kernel)}
-    if len(values) == 1:
-        return next(iter(values))
-    return None
+    elements = bits(f.kernel)
+    first = lam(next(elements))
+    for e in elements:
+        if lam(e) != first:
+            return None
+    return first
 
 
 def is_directed(family: Sequence[int]) -> tuple[bool, tuple | None]:

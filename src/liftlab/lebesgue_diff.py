@@ -29,7 +29,8 @@ import random
 from .filter_calculus import (Filter, direct_image, is_directed, limit_along,
                               tail_filter)
 from .measure_space import (MeasureSpace, PartialFn, averageable_code,
-                            averageable_sets, bits, indicator, is_null, total_fn)
+                            averageable_sets, bits, indicator,
+                            on_common_denominator, total_fn)
 from .measure_algebra import (SetTransform, enumerate_liftings, is_lifting,
                               is_boolean_homomorphism, is_lower_density,
                               is_right_inverse, lifting_retraction,
@@ -39,13 +40,18 @@ from .verdict import InternalCheckError, Verdict
 
 class MeanValues(Mapping):
     """The mean values of one function, keyed by the averageable sets and
-    computed on first read; any other key raises ``KeyError``."""
+    computed on first read; any other key raises ``KeyError``.
+
+    The weights stay `Fraction`s, but a mean is summed on integers: each
+    atom's mass is f's value times the lcm ``den`` of f's denominators
+    times the atom's ``units``, so the mean over q is the one `Fraction`
+    Σ mass / (den · Σ units), both sums over the atoms of q."""
 
     def __init__(self, f: PartialFn):
         space = self._space = f.space
-        # f times the weight, atom by atom; 0 off the domain, which is null
-        self._mass = tuple(0 if v is None else v * w
-                           for v, w in zip(f.values, space.weights))
+        # 0 off the domain, which is null
+        scaled, self._den = on_common_denominator(f.values)
+        self._mass = tuple(v * u for v, u in zip(scaled, space.units))
         self._means: dict[int, Fraction] = {}
 
     def __getitem__(self, q: int) -> Fraction:
@@ -55,9 +61,13 @@ class MeanValues(Mapping):
             if not (isinstance(q, int) and 0 <= q <= space.full_mask
                     and q & space.pos_mask):
                 raise KeyError(q)
-            atoms = tuple(bits(q))
-            mean = self._means[q] = (sum(self._mass[i] for i in atoms)
-                                     / sum(space.weights[i] for i in atoms))
+            mass = self._mass
+            units = space.units
+            total = weight = 0
+            for i in bits(q):
+                total += mass[i]
+                weight += units[i]
+            mean = self._means[q] = Fraction(total, self._den * weight)
         return mean
 
     def __iter__(self):
@@ -159,26 +169,25 @@ def lower_density_from_kernel(kernel: FilterKernel) -> SetTransform:
 
 def basis_from_lifting(lifting: SetTransform) -> tuple[tuple[int, ...], ...]:
     """Averageable fixed points of a lifting, as one family per atom (the
-    members that contain it), with both basis axioms verified: directed
-    per-point families and full-measure support."""
+    members that contain it), each verified to be directed.
+
+    The support needs no check: an a.e. identity puts each positive atom x
+    in ρ({x}), and ρ(ρ({x})) = ρ({x}) as the two arguments are a.e. equal,
+    so some fixed averageable set holds x."""
     v = is_lifting(lifting)
     if not v:
         raise ValueError(f"not a lifting: {v.reason} (witness {v.witness})")
     space = lifting.space
     fixed = tuple(q for q in averageable_sets(space) if lifting.table[q] == q)
     families = []
-    support = 0
     for x in range(space.n):
         fam = tuple(q for q in fixed if (q >> x) & 1)
         families.append(fam)
         if fam:
-            support |= 1 << x
             ok, witness = is_directed(fam)
             if not ok:
                 raise InternalCheckError(
                     f"family at point {x} is not directed: {witness}")
-    if not is_null(space, space.full_mask ^ support):
-        raise InternalCheckError("basis support misses a non-null set")
     return tuple(families)
 
 

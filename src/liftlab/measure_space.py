@@ -3,12 +3,15 @@
 Atoms are indexed ``0..n-1`` and a subset is a bitmask with bit ``i`` set
 when atom ``i`` belongs to it.  The sigma-algebra is the full powerset, so
 every subset is measurable and completeness is automatic; atoms of weight
-zero populate the null ideal.  All arithmetic is exact (`Fraction`), so
-almost-everywhere statements are plain equalities, never approximations.
+zero populate the null ideal.  All arithmetic is exact, so almost-everywhere
+statements are plain equalities, never approximations.  Weights stay
+`Fraction`s; a space also keeps them as integer ``units`` on the lcm of
+their denominators, so a mean sums integers and makes one `Fraction`.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,11 +43,23 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot read {value!r} as an exact rational")
 
 
+def on_common_denominator(values: Sequence) -> tuple[tuple[int, ...], int]:
+    """Rationals as integer numerators over the lcm of their denominators,
+    and that lcm; None reads as 0."""
+    den = math.lcm(*(v.denominator for v in values if v is not None))
+    return tuple(0 if v is None else v.numerator * (den // v.denominator)
+                 for v in values), den
+
+
 @dataclass(frozen=True)
 class MeasureSpace:
-    """A finite complete measure space: one rational weight per atom."""
+    """A finite complete measure space: one rational weight per atom.
+
+    ``units`` are the weights times the lcm of their denominators: integers
+    in the weights' proportions."""
 
     weights: tuple[Fraction, ...]
+    units: tuple[int, ...] = field(init=False, compare=False, repr=False)
     n: int = field(init=False, compare=False, repr=False)
     full_mask: int = field(init=False, compare=False, repr=False)
     pos_mask: int = field(init=False, compare=False, repr=False)
@@ -63,6 +78,7 @@ class MeasureSpace:
         for i, w in enumerate(self.weights):
             if w > 0:
                 pos |= 1 << i
+        object.__setattr__(self, "units", on_common_denominator(self.weights)[0])
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "full_mask", (1 << n) - 1)
         object.__setattr__(self, "pos_mask", pos)
@@ -81,11 +97,6 @@ def build_space(weights: Iterable) -> MeasureSpace:
     input positions 0..n-1.
     """
     return MeasureSpace(tuple(as_fraction(w) for w in weights))
-
-
-def measure(space: MeasureSpace, q: int) -> Fraction:
-    space.check_set(q)
-    return sum((space.weights[i] for i in bits(q)), Fraction(0))
 
 
 def is_null(space: MeasureSpace, q: int) -> bool:
@@ -147,9 +158,12 @@ def total_fn(space: MeasureSpace, values: Sequence) -> PartialFn:
     return PartialFn(space, tuple(as_fraction(v) for v in values))
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def indicator(space: MeasureSpace, q: int) -> PartialFn:
     """The total 0/1 function of a set."""
     space.check_set(q)
-    vals = tuple(Fraction(1) if (q >> i) & 1 else Fraction(0) for i in range(space.n))
+    vals = tuple(_ONE if (q >> i) & 1 else _ZERO for i in range(space.n))
     return PartialFn(space, vals)
 

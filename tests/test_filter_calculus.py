@@ -138,6 +138,27 @@ class TestLimits:
         f = Filter(0b11, 0b11)
         assert limit_along(f, lambda q: q) is None
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 11), min_size=2, max_size=8, unique=True),
+           st.fractions(-3, 3, max_denominator=4), st.fractions(-3, 3, max_denominator=4),
+           st.sampled_from(["agree", "first", "last", "drawn"]), st.data())
+    def test_matches_the_set_of_values_on_the_kernel(self, members, common, other,
+                                                     differing, data):
+        # several members per kernel: all agreeing, one differing at the
+        # first or the last member visited, or values drawn member by member
+        kernel = sum(1 << e for e in members)
+        order = sorted(members)
+        values = dict.fromkeys(order, common)
+        if differing == "first":
+            values[order[0]] = other
+        elif differing == "last":
+            values[order[-1]] = other
+        elif differing == "drawn":
+            values = {e: data.draw(st.sampled_from([common, other])) for e in order}
+        seen = set(values.values())
+        expected = next(iter(seen)) if len(seen) == 1 else None
+        assert limit_along(Filter((1 << 12) - 1, kernel), values.__getitem__) == expected
+
     def test_monotone_limit_at_one(self):
         # if alpha <= beta <= 1 pointwise and alpha -> 1, then beta -> 1;
         # randomized over filters on the averageable sets of [1,1,0]

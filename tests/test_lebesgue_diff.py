@@ -18,9 +18,9 @@ from liftlab.lebesgue_diff import (NOT_REACHED, FilterKernel,
                                    random_total_fn, recovers, verify_theorem1)
 from liftlab.measure_algebra import BooleanHom, SetTransform, enumerate_liftings
 from liftlab.measure_space import (PartialFn, averageable_code, averageable_sets,
-                                   bits, build_space, indicator, measure,
-                                   total_fn)
+                                   bits, build_space, indicator, total_fn)
 from liftlab.verdict import Verdict
+from test_measure_space import measure
 
 A, B, N = 1, 2, 4
 LAMBDA_A = (0, 5, 2, 7, 0, 5, 2, 7)
@@ -83,16 +83,25 @@ class TestLebesgueTransform:
             assert same_class == same_transform
 
 
+#: Weights whose denominators differ, some far apart, and the null weight.
+MIXED_WEIGHTS = ("1/3", "0.25", "2/7", "1/999999937", "5", "3/4", "0")
+
+
 @st.composite
 def spaces_and_functions(draw):
     """A space of at most six atoms and a function on it, undefined on a
-    drawn part of the null atoms."""
-    weights = draw(st.lists(st.fractions(0, 5, max_denominator=4),
-                            min_size=1, max_size=6))
+    drawn part of the null atoms.  Weights and values may mix
+    denominators, some of them far apart."""
+    weight = st.one_of(st.fractions(0, 5, max_denominator=4),
+                       st.sampled_from(MIXED_WEIGHTS).map(Fraction))
+    weights = draw(st.lists(weight, min_size=1, max_size=6))
     if not any(weights):
         weights[0] = 1
     space = build_space(weights)
-    values = tuple(draw(st.fractions(-20, 20, max_denominator=6))
+    value = st.one_of(st.fractions(-20, 20, max_denominator=6),
+                      st.builds(Fraction, st.integers(-40, 40),
+                                st.sampled_from([7, 12, 999999937])))
+    values = tuple(draw(value)
                    if (space.pos_mask >> x) & 1 or draw(st.booleans()) else None
                    for x in range(space.n))
     return space, PartialFn(space, values)
@@ -144,6 +153,48 @@ class TestLazyMeans:
         assert list(lam.values) == list(averageable_sets(s2))
         assert read == []
         assert lam(3) == Fraction(3, 2) and read == [3]
+
+
+def mismatched_means(space, f):
+    """The averageable sets where a mean of ``f`` differs from Σf·w/Σw
+    added up in `Fraction`s."""
+    lam = lebesgue_transform(f)
+    eager = eager_means(space, f)
+    return [q for q in averageable_sets(space) if lam(q) != eager[q]]
+
+
+class TestIntegerMeans:
+    """Means are summed on the space's integer units, one `Fraction` each."""
+
+    def test_units_are_the_weights_on_their_common_denominator(self):
+        space = build_space(["1/3", "0.25", "2/7", 0, 5])
+        assert space.units == (28, 21, 24, 0, 420)
+        assert "units" not in repr(space)
+
+    def test_a_scaled_unit_is_caught(self):
+        # doubling one atom's units changes the weights' proportions
+        space = build_space(["1/3", "2/7", 0])
+        f = total_fn(space, ["1/2", "5/3", 9])
+        units = space.units
+        object.__setattr__(space, "units", (2 * units[0], *units[1:]))
+        try:
+            assert mismatched_means(space, f) == [A | B, A | B | N]
+        finally:
+            object.__setattr__(space, "units", units)
+        assert mismatched_means(space, f) == []
+
+    def test_a_dropped_denominator_is_caught(self, monkeypatch):
+        # means over f's numerators on a unit denominator are den times too big
+        space = build_space(["1/3", "2/7", 0])
+        f = total_fn(space, ["1/2", "5/3", 9])
+        init = leb.MeanValues.__init__
+
+        def without_denominator(self, g):
+            init(self, g)
+            self._den = 1
+
+        monkeypatch.setattr(leb.MeanValues, "__init__", without_denominator)
+        assert mismatched_means(space, f) == list(averageable_sets(space))
 
 
 class TestFilterKernel:

@@ -16,6 +16,7 @@ and the twin and functor categories are tabulated by
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -102,15 +103,22 @@ class TwinCategoryResult:
 
 def twin_category(cat: FiniteCategory) -> TwinCategoryResult:
     """The category whose objects are the arrows of ``cat`` and whose
-    arrows are twin arrows, composed by vertical multiplication.  Its n
-    twin arrows are counted first: reading the table as a category checks
-    n^3 triples, so n^3 above ``ENUMERATION_CAP`` raises ``CapacityError``."""
+    arrows are twin arrows, composed by vertical multiplication.  Its twin
+    arrows are found first.  Reading the table as a category decides
+    associativity by ``partial_magma``'s pin lemma, on the composable
+    triples (x, y, z): source x = target y and source y = target z.  So
+    their number, the sum over twin arrows y of #{x : source x = target y}
+    * #{z : target z = source y}, above ``ENUMERATION_CAP`` raises
+    ``CapacityError`` before anything is tabulated."""
     data = [t for x, y in product(cat.arrows, repeat=2)
             for t in twin_hom_cases(cat, x, y)]
     n = len(data)
-    if n ** 3 > ENUMERATION_CAP:
-        raise CapacityError(f"twin category too large: {n} twin arrows give {n ** 3} "
-                            f"associativity triples, over the cap of {ENUMERATION_CAP}")
+    leaving = Counter(t.source for t in data)
+    arriving = Counter(t.target for t in data)
+    triples = sum(leaving[t.target] * arriving[t.source] for t in data)
+    if triples > ENUMERATION_CAP:
+        raise CapacityError(f"twin category too large: {n} twin arrows give {triples} "
+                            f"composable triples, over the cap of {ENUMERATION_CAP}")
 
     def mul(a: TwinArrow, b: TwinArrow) -> TwinArrow | None:
         if b.target != a.source:

@@ -366,10 +366,16 @@ def lifting_from_retraction(space: MeasureSpace, g) -> SetTransform:
 
 
 def _preimage_transform(space: MeasureSpace, g) -> SetTransform:
-    """The transform Q |-> {x : g(x) in Q}."""
-    table = []
-    for q in range(space.full_mask + 1):
-        table.append(sum(1 << x for x in range(space.n) if (q >> g[x]) & 1))
+    """The transform Q |-> {x : g(x) in Q}, built by lowest bit: the
+    preimage of Q is that of Q without its lowest atom p, joined with
+    pre[p] = {x : g(x) = p}."""
+    pre = [0] * space.n
+    for x, gx in enumerate(g):
+        pre[gx] |= 1 << x
+    table = [0] * (space.full_mask + 1)
+    for q in range(1, space.full_mask + 1):
+        low = q & -q
+        table[q] = table[q ^ low] | pre[low.bit_length() - 1]
     return SetTransform(space, tuple(table))
 
 

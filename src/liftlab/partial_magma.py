@@ -115,8 +115,11 @@ class PMClassification:
 
 
 def _associativity(pm: PartialMagma) -> tuple[bool, tuple | None]:
-    # The three definedness conditions must agree, and the triple products
-    # must be equal when defined.
+    """Associativity by its definition, over all n^3 triples: (x.y).z and
+    x.(y.z) are each defined exactly when x.y and y.z both are, and are
+    then equal.  The witness is the first failing triple, with
+    "definedness" or "value".  ``classify`` runs it only where the pin
+    lemma cannot decide or says the law fails."""
     for x, y, z in product(range(pm.n), repeat=3):
         xy = pm.op(x, y)
         yz = pm.op(y, z)
@@ -130,33 +133,80 @@ def _associativity(pm: PartialMagma) -> tuple[bool, tuple | None]:
     return True, None
 
 
+def _pin_lemma_failure(pm: PartialMagma,
+                       pins: tuple[tuple[int, int], ...]) -> tuple[str, tuple] | None:
+    """The first part of the pin lemma that fails, with its pair or
+    triple, or None when all three hold.
+
+    When every element x has exactly one unit on each side, its pins
+    (dom x, cod x), ``_associativity`` holds iff
+    (a) x.y is defined iff dom x = cod y (the chain rule),
+    (b) every defined x.y has pins (dom y, cod x), and
+    (c) (x.y).z = x.(y.z) on every triple with dom x = cod y and
+        dom y = cod z.
+    Under associativity the triples (x, cod y, y) and (x, y, dom y) give
+    (a) and (b); conversely (a) and (b) make each side of a triple defined
+    exactly when both products are, and (c) makes them equal.  (a) and
+    (b) take n^2 steps and (c) visits only the composable triples."""
+    n, table = pm.n, pm.table
+    for x in range(n):
+        dom_x, cod_x = pins[x]
+        row = table[x]
+        for y in range(n):
+            if pm.defined(x, y) != (pins[y][1] == dom_x):
+                return "chain rule", (x, y)
+            xy = row[y]
+            if xy is not None and pins[xy] != (pins[y][0], cod_x):
+                return "pin rule", (x, y)
+    by_dom, by_cod = {}, {}
+    for x, (dom_x, cod_x) in enumerate(pins):
+        by_dom.setdefault(dom_x, []).append(x)
+        by_cod.setdefault(cod_x, []).append(x)
+    for y in range(n):
+        dom_y, cod_y = pins[y]
+        row_y = table[y]
+        for x in by_dom[cod_y]:
+            row_x = table[x]
+            row_xy = table[row_x[y]]
+            for z in by_cod[dom_y]:
+                if row_xy[z] != row_x[row_y[z]]:
+                    return "associativity", (x, y, z)
+    return None
+
+
 def classify(pm: PartialMagma) -> PMClassification:
     """Exhaustive classification.  One pass gives each element x its unit
     sides, the units u with x.u defined and those with u.x defined.
     Fastening needs both nonempty (the witness is the first x with no unit
-    on its left, or else on its right).  On a regular magma each side is
-    one unit, the pin (dom x, cod x), and the chain rule (x.z defined iff
-    dom x = cod z) is re-verified; its failure would be an internal error."""
+    on its left, or else on its right).  When each side is one unit, the
+    pin (dom x, cod x), the pin lemma of ``_pin_lemma_failure`` decides
+    associativity, with the chain rule (x.z defined iff dom x = cod z) as
+    its first part.  Otherwise, or when the lemma fails, the n^3 loop of
+    ``_associativity`` decides and gives the witness; a loop that finds no
+    failure where the lemma found one is an internal error.  A regular
+    magma has exactly one unit on each side of every element, so a regular
+    magma without pins is an internal error too."""
     us = units(pm)
     sides = [([u for u in us if pm.defined(x, u)], [u for u in us if pm.defined(u, x)])
              for x in range(pm.n)]
     fw = next(((x, "right" if cods else "left") for x, (doms, cods) in enumerate(sides)
                if not doms or not cods), None)
-    associative, aw = _associativity(pm)
+    pins = (tuple((doms[0], cods[0]) for doms, cods in sides)
+            if all(len(doms) == len(cods) == 1 for doms, cods in sides) else None)
+    failure = _pin_lemma_failure(pm, pins) if pins is not None else None
+    if pins is not None and failure is None:
+        associative, aw = True, None
+    else:
+        associative, aw = _associativity(pm)
+        if associative and failure is not None:
+            raise InternalCheckError(f"{failure[0]} fails on a regular magma: {failure[1]}")
     regular = bool(us) and associative and fw is None
-    pins = None
-    if regular:
-        bad = next((x for x, (doms, cods) in enumerate(sides)
-                    if len(doms) != 1 or len(cods) != 1), None)
-        if bad is None:
-            pins = tuple((doms[0], cods[0]) for doms, cods in sides)
-            bad = next(((x, z) for x, z in product(range(pm.n), repeat=2)
-                        if pm.defined(x, z) != (pins[x][0] == pins[z][1])), None)
-        if bad is not None:
-            raise InternalCheckError(f"chain rule fails on a regular magma: {bad}")
+    if regular and pins is None:
+        raise InternalCheckError("an element of a regular magma has two units on a side")
     total = all(pm.defined(x, y) for x in range(pm.n) for y in range(pm.n))
     return PMClassification(us, bool(us), associative, aw, fw is None, fw,
-                            regular, total, regular and len(us) == 1, pins)
+                            regular, total, regular and len(us) == 1,
+                            pins if regular else None)
 
 
 def hmul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int] | None:

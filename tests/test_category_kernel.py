@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 import liftlab.category_kernel as category_kernel
+import liftlab.partial_magma as partial_magma
 from liftlab.category_kernel import (ENUMERATION_CAP, NAMED_SHAPES, FiniteCategory,
                                      Functor, NatHom, NatTrans, TwinArrow,
                                      compose_nat, enumerate_functors,
@@ -18,7 +19,7 @@ from liftlab.partial_magma import build_pm, matrix_magma, regular_tables, units
 import liftlab.suite as suite
 from liftlab.suite import natequiv_report, run_check
 from liftlab.verdict import CapacityError, InternalCheckError, Verdict
-from test_partial_magma import is_pm_hom
+from test_partial_magma import is_pm_hom, null_monoid
 
 
 CATS = {name: named_category(name) for name in NAMED_SHAPES}
@@ -172,17 +173,20 @@ class TestTwinCategory:
                  for n in (1, 2, 3) for pm in regular_tables(n)]
         assert max(sizes) == 41 and max(sizes) ** 3 <= ENUMERATION_CAP
 
-    @pytest.mark.parametrize("n, twin_arrows", [(4, 130), (5, 337), (8, 2626)])
+    @pytest.mark.parametrize("n, twin_arrows", [(4, 130), (5, 337), (6, 746), (8, 2626)])
     def test_null_monoid_twins_past_the_cap_are_refused(self, n, twin_arrows):
         # the null monoid: 0 is the unit, and every product of two
-        # non-units is 1; its twin arrows are counted, never tabulated
-        cat = FiniteCategory(build_pm(n, [[y if x == 0 else x if y == 0 else 1
-                                         for y in range(n)] for x in range(n)]))
-        if twin_arrows ** 3 <= ENUMERATION_CAP:
-            assert twin_category(cat).category.pm.n == twin_arrows
+        # non-units is 1; past 5 elements its composable twin triples are
+        # counted, never tabulated
+        triples = {4: 167_062, 5: 1_887_797, 6: 14_168_516, 8: 339_858_506}[n]
+        cat = FiniteCategory(null_monoid(n))
+        if triples <= ENUMERATION_CAP:
+            tw = twin_category(cat)
+            assert tw.category.pm.n == twin_arrows and hom_recapture(cat, tw)
             return
         started = time.monotonic()
-        with pytest.raises(CapacityError, match=f"{twin_arrows} twin arrows"):
+        with pytest.raises(CapacityError, match=f"{twin_arrows} twin arrows give "
+                                                f"{triples} composable triples"):
             twin_category(cat)
         assert time.monotonic() - started < 5
 
@@ -572,6 +576,29 @@ class TestFunctorCategoryIsomorphisms:
                                  alpha.assignment[arrow_of_two])
                 arrow_map.append(index[twin])
             _assert_isomorphic(fc.category, tw.category, arrow_map)
+
+
+class TestFunctorCategoryOnNamedPairs:
+    """The appendix claim on every ordered pair of named categories: the
+    arrow-indexed transformations, composed vertically, form a category
+    with one object per functor, the identity transformation, and as many
+    arrows as ``natequiv_report`` counts (36/400 for SQ -> SQ, 16/100 for
+    3 -> SQ, 20/168 for SQ -> 3, pinned in ``TestNatEquivOnNamedPairs``).
+    The pin lemma decides associativity alone: on SQ -> SQ's 400 arrows
+    the n^3 loop would visit 64M triples."""
+
+    @pytest.mark.parametrize("cname, dname", [(a, b) for a in CATS for b in CATS])
+    def test_a_category_with_one_object_per_functor(self, cname, dname, monkeypatch):
+        def forbidden(pm):
+            raise AssertionError("the n^3 associativity loop ran")
+
+        monkeypatch.setattr(partial_magma, "_associativity", forbidden)
+        fc = functor_category(CATS[cname], CATS[dname])
+        rep = natequiv_report(cname, dname)
+        assert len(fc.category.objects) == len(fc.functors) == rep["functors"]
+        assert fc.category.pm.n == len(fc.arrows) == rep["arrow_indexed"]
+        assert ([fc.arrows[u] for u in fc.category.objects]
+                == [identity_nat_hom(f) for f in fc.functors])
 
 
 class TestExampleLibrary:

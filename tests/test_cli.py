@@ -17,6 +17,7 @@ import liftlab.suite
 from liftlab.cli import main
 from liftlab.measure_algebra import TransformProperty
 from liftlab.verdict import InternalCheckError
+from test_partial_magma import null_monoid
 
 LAMBDA_A = [0, 5, 2, 7, 0, 5, 2, 7]
 
@@ -534,15 +535,22 @@ class TestCatCommands:
         assert result.exit_code == 0
         assert len(classified) == 2
 
+    def test_twin_of_the_five_element_null_monoid(self, runner, tmp_path):
+        # 337 twin arrows and 1,887,797 composable triples, under the cap
+        doc = write(tmp_path, "null.json", {"kind": "category", "n": 5,
+                                            "table": null_monoid(5).table})
+        result = runner.invoke(main, ["cat", "twin", doc, "--format", "json"])
+        assert result.exit_code == 0
+        report = json.loads(result.stdout)
+        assert (report["twin_objects"], report["twin_arrows"]) == (5, 337)
+        assert report["hom_recapture"] is True
+
     def test_twin_past_the_cap_exits_2_within_seconds(self, runner, tmp_path):
         # the null monoid on 8 elements (the default --max-elems): 0 is the
         # unit and every product of two non-units is 1, which gives 2626
-        # twin arrows, too many triples to check for associativity
-        n = 8
-        doc = write(tmp_path, "null.json", {
-            "kind": "category", "n": n,
-            "table": [[y if x == 0 else x if y == 0 else 1 for y in range(n)]
-                      for x in range(n)]})
+        # twin arrows, too many composable triples to check associativity on
+        doc = write(tmp_path, "null.json", {"kind": "category", "n": 8,
+                                            "table": null_monoid(8).table})
         started = time.monotonic()
         result = runner.invoke(main, ["cat", "twin", doc])
         assert time.monotonic() - started < 5

@@ -251,6 +251,42 @@ class TestEnumerateLiftings:
             lifting_from_retraction(s1, (0, 1, 2))
 
 
+def preimage_by_atoms(space, g):
+    """The table of Q |-> {x : g(x) in Q}, each set summed over the atoms."""
+    return tuple(sum(1 << x for x in range(space.n) if (q >> g[x]) & 1)
+                 for q in range(space.full_mask + 1))
+
+
+class TestPreimageTransform:
+    """``_preimage_transform`` builds each set from the one without its
+    lowest atom; the sum over atoms is the oracle."""
+
+    def test_every_retraction_up_to_six_atoms(self):
+        retractions = 0
+        for n in range(1, 7):
+            for null_mask in range((1 << n) - 1):
+                space = build_space([0 if (null_mask >> x) & 1 else 1 for x in range(n)])
+                nulls = [x for x in range(n) if (null_mask >> x) & 1]
+                positive = [x for x in range(n) if not (null_mask >> x) & 1]
+                for targets in product(positive, repeat=len(nulls)):
+                    g = list(range(n))
+                    for atom, target in zip(nulls, targets):
+                        g[atom] = target
+                    lifting = lifting_from_retraction(space, g)
+                    assert lifting.table == preimage_by_atoms(space, g)
+                    retractions += 1
+        # sum over n and m of C(n, m) (n - m)^m
+        assert retractions == 1 + 3 + 10 + 41 + 196 + 1057
+
+    @given(st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: st.lists(st.integers(min_value=0, max_value=n - 1),
+                           min_size=n, max_size=n)))
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_maps(self, g):
+        space = build_space([1] * len(g))
+        assert ma._preimage_transform(space, g).table == preimage_by_atoms(space, g)
+
+
 class TestLiftingLaws:
     def test_boolean_operation_tables(self, s1, s2):
         for sp in (s1, s2):

@@ -3,7 +3,7 @@ from itertools import product
 
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from liftlab import partial_magma
 from liftlab.category_kernel import FiniteCategory
@@ -581,6 +581,150 @@ class TestMergedPass:
         assert (0, "left") in witnesses
         assert any(w is not None and w[1] == "right" for w in witnesses)
         assert witnesses.count(None) > 0
+
+
+def unique_pins(pm):
+    """Each element's one unit on each side, (dom, cod), by a scan of its
+    own; None when some element has no unit or two on a side."""
+    us = units(pm)
+    pins = []
+    for x in range(pm.n):
+        doms = [u for u in us if pm.defined(x, u)]
+        cods = [u for u in us if pm.defined(u, x)]
+        if len(doms) != 1 or len(cods) != 1:
+            return None
+        pins.append((doms[0], cods[0]))
+    return tuple(pins)
+
+
+#: The parts of the pin lemma, as ``_pin_lemma_failure`` names them.
+LEMMA_PARTS = ("chain rule", "pin rule", "associativity")
+
+
+def lemma_parts(pm, pins):
+    """Whether each part of the pin lemma holds, each by a scan of its own
+    over all pairs or all triples: (a) x.y is defined iff dom x = cod y,
+    (b) a defined x.y has pins (dom y, cod x), (c) the two sides of a
+    triple with dom x = cod y and dom y = cod z are equal where both are
+    defined.  Read with definedness, (a) and (c) would imply (b); read so,
+    each part can fail alone."""
+    def op(x, y):
+        return None if x is None or y is None else pm.op(x, y)
+
+    pairs = list(product(range(pm.n), repeat=2))
+    chain = all(pm.defined(x, y) == (pins[x][0] == pins[y][1]) for x, y in pairs)
+    pinned = all(pm.op(x, y) is None or pins[pm.op(x, y)] == (pins[y][0], pins[x][1])
+                 for x, y in pairs)
+    values = all(left is None or right is None or left == right
+                 for x, y, z in product(range(pm.n), repeat=3)
+                 if pins[x][0] == pins[y][1] and pins[y][0] == pins[z][1]
+                 for left, right in [(op(op(x, y), z), op(x, op(y, z)))])
+    return chain, pinned, values
+
+
+def null_monoid(n):
+    """0 is the unit and every product of two non-units is 1."""
+    return build_pm(n, [[y if x == 0 else x if y == 0 else 1 for y in range(n)]
+                        for x in range(n)])
+
+
+#: Categories to break: every regular magma on two and three elements, the
+#: triangle, the square, the null monoids on 3 and 4 elements, and the
+#: vertical product of the single-arrow category.
+CATEGORY_POOL = (*regular_tables(2), *regular_tables(3), m6()[0], msq()[0],
+                 null_monoid(3), null_monoid(4), square_pm(m3()[0]))
+
+
+@st.composite
+def broken_categories(draw):
+    """A category with one product of two non-units changed so that the
+    named part of the pin lemma fails and the other two hold, and every
+    element keeps its pins: (a) by dropping a product or defining one
+    whose pins are right, (b) by a value with other pins, (c) by another
+    value with the same pins."""
+    pm = draw(st.sampled_from(CATEGORY_POOL))
+    pins = classify(pm).pins
+    part = draw(st.sampled_from(LEMMA_PARTS))
+    arrows = [x for x in range(pm.n) if pins[x][0] != x]
+    assume(arrows)
+    x, y = draw(st.sampled_from(arrows)), draw(st.sampled_from(arrows))
+    composable = pins[x][0] == pins[y][1]
+    right = [v for v in range(pm.n) if pins[v] == (pins[y][0], pins[x][1])]
+    if part == "chain rule":
+        values = [None] if composable else right
+    elif part == "pin rule":
+        values = [v for v in range(pm.n) if v not in right] if composable else []
+    else:
+        values = [v for v in right if v != pm.op(x, y)] if composable else []
+    assume(values)
+    table = [list(row) for row in pm.table]
+    table[x][y] = draw(st.sampled_from(values))
+    broken = build_pm(pm.n, table)
+    assume(unique_pins(broken) == pins)
+    assume(lemma_parts(broken, pins) == tuple(p != part for p in LEMMA_PARTS))
+    return broken, pins, part
+
+
+class TestPinLemma:
+    """Where every element has one unit on each side, ``classify`` decides
+    associativity by the pin lemma, and the n^3 loop runs only to find the
+    witness of a failure."""
+
+    def test_equals_the_loop_on_every_three_element_table(self):
+        pinned = 0
+        for flat in product([None, 0, 1, 2], repeat=9):
+            if all(flat[4 * x] != x for x in range(3)):
+                continue  # no element is its own square, so no unit
+            pm = PartialMagma(3, (flat[0:3], flat[3:6], flat[6:9]))
+            pins = unique_pins(pm)
+            if pins is None:
+                continue
+            pinned += 1
+            loop = partial_magma._associativity(pm)
+            c = classify(pm)
+            assert (c.associative, c.assoc_witness) == loop
+            assert (partial_magma._pin_lemma_failure(pm, pins) is None) == loop[0]
+        assert pinned == 817
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_decides_every_regular_table_alone(self, n, monkeypatch):
+        tables = regular_tables(n)
+
+        def forbidden(pm):
+            raise AssertionError("the loop ran on a regular magma")
+
+        monkeypatch.setattr(partial_magma, "_associativity", forbidden)
+        for pm in tables:
+            pins = unique_pins(pm)
+            assert partial_magma._pin_lemma_failure(pm, pins) is None
+            assert all(lemma_parts(pm, pins))
+            c = classify(pm)
+            assert c.regular and c.associative and c.pins == pins
+
+    @given(broken_categories())
+    @settings(max_examples=150, deadline=None)
+    def test_one_broken_part_matches_the_loop(self, drawn):
+        pm, pins, part = drawn
+        failure = partial_magma._pin_lemma_failure(pm, pins)
+        assert failure is not None and failure[0] == part
+        loop = partial_magma._associativity(pm)
+        assert not loop[0]
+        c = classify(pm)
+        assert (c.associative, c.assoc_witness) == loop and not c.regular
+
+    def test_a_loop_that_misses_a_refuted_law_is_an_internal_error(self, monkeypatch):
+        # A32 after A21 in M6 made A21: defined where the pins match, with
+        # the pins of A21, not those of A31
+        pm, names = m6()
+        a32, a21 = names.index("A32"), names.index("A21")
+        table = [list(row) for row in pm.table]
+        table[a32][a21] = a21
+        broken = build_pm(pm.n, table)
+        assert not classify(broken).associative
+        monkeypatch.setattr(partial_magma, "_associativity", lambda pm: (True, None))
+        with pytest.raises(InternalCheckError,
+                           match=rf"pin rule fails on a regular magma: \({a32}, {a21}\)"):
+            classify(broken)
 
 
 class TestHomomorphisms:

@@ -1,24 +1,25 @@
 """Finite categories as regular partial magmas, arrows only.
 
 A category is stored as its arrow magma; ``classify`` decides its objects
-(the units) and each arrow's dom and cod (its pins).  Twin
-arrows (commuting squares) make the arrows of one category the objects of
+(the units) and each arrow's dom and cod (its pins).  Twin arrows
+(commuting squares) make the arrows of one category the objects of
 another, and a transformation between two functors can be encoded either
 arrow-indexed (a homomorphism into twin arrows under horizontal
 multiplication) or object-indexed (classical components).  Both encodings
 are kept as distinct types with explicit converters, because their
-equivalence is one of the statements under test.  The twin squares
-between two arrows are searched once per category (``twin_hom_cases``),
-and the twin and functor categories are tabulated by
-``partial_magma.product_pm``.
-"""
+equivalence is one of the statements under test.  Functors and
+arrow-indexed transformations come from one homomorphism search,
+``_homomorphisms``; components come from their literal definition.  The
+twin squares between two arrows are searched once per category
+(``twin_hom_cases``), and derived categories are tabulated by
+``partial_magma.product_pm``."""
 
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 from .partial_magma import (PartialMagma, classify, hmul, matrix_magma,
@@ -63,12 +64,30 @@ class FiniteCategory:
     def compose(self, x: int, y: int) -> int | None:
         return self.pm.op(x, y)
 
+    @cached_property
+    def homs(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """The arrows from u to v for every pair (u, v) of objects."""
+        homs = {(u, v): [] for u in self.objects for v in self.objects}
+        for x in self.arrows:
+            homs[self.dom[x], self.cod[x]].append(x)
+        return {uv: tuple(xs) for uv, xs in homs.items()}
+
+    @cached_property
+    def products(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """``products[m]``: every product p∘q = r whose largest member is m."""
+        groups = [[] for _ in self.arrows]
+        for p, row in enumerate(self.pm.table):
+            for q, r in enumerate(row):
+                if r is not None:
+                    groups[max(p, q, r)].append((p, q, r))
+        return tuple(map(tuple, groups))
+
 
 def hom_set(cat: FiniteCategory, u: int, v: int) -> tuple[int, ...]:
     """Arrows from ``u`` to ``v``; hom-sets partition the arrows."""
-    if u not in cat.position or v not in cat.position:
+    if (u, v) not in cat.homs:
         raise ValueError("hom-set endpoints must be objects")
-    return tuple(x for x in cat.arrows if cat.dom[x] == u and cat.cod[x] == v)
+    return cat.homs[u, v]
 
 
 @dataclass(frozen=True)
@@ -162,62 +181,54 @@ class Functor:
         return self.arrow_map[x]
 
 
+def _homomorphisms(c: FiniteCategory, candidates, mul) -> list[tuple]:
+    """Every arrow map sending each arrow x of ``c`` into ``candidates[x]``
+    and each product p∘q = r to values with mul(image p, image q) = image r.
+    Arrows are assigned in index order and each product is checked once its
+    largest member has a value, so a branch is cut at the first product it
+    breaks.  The maps come in the order of the product of the candidates."""
+    checks = c.products
+    image = [None] * c.pm.n
+    out = []
+
+    def extend(x: int):
+        if x == len(image):
+            out.append(tuple(image))
+            return
+        for y in candidates[x]:
+            image[x] = y
+            if all(mul(image[p], image[q]) == image[r] for p, q, r in checks[x]):
+                extend(x + 1)
+
+    extend(0)
+    return out
+
+
 def enumerate_functors(c: FiniteCategory, d: FiniteCategory) -> tuple[Functor, ...]:
-    """All functors c -> d, by a search that follows their structure.
+    """All functors c -> d, by one homomorphism search per object map.
 
-    The object map comes first, over the objects of d; each identity goes
-    to its object's image.  Each other arrow x then ranges over
-    hom_d(F dom x, F cod x), so units, domains and codomains are preserved
-    by construction, and so is every product with an identity factor.  The
-    remaining law is checked on each product p∘q = r of two non-identity
-    arrows as soon as F(p), F(q) and F(r) are all assigned, and a branch
-    that breaks it is cut.  The functors come back sorted by arrow map,
-    the order of the full product over arrow maps.
-
-    ``ENUMERATION_CAP`` bounds the searched space before the search starts:
-    the number of object maps, and the sum over object maps of the product
-    of the candidate hom-set sizes, which is the number of leaves without
-    pruning.  Either one above the cap raises ``CapacityError``.
+    Each identity's one candidate is its object's image, and each other
+    arrow x ranges over hom_d(F dom x, F cod x).  The functors come back
+    sorted by arrow map.  ``ENUMERATION_CAP`` bounds, before any search,
+    the number of object maps and the sum over object maps of the product
+    of the candidate counts: the number of leaves without pruning.  Either
+    one above the cap raises ``CapacityError``.
     """
     if len(d.objects) ** len(c.objects) > ENUMERATION_CAP:
         raise CapacityError("functor search space too large")
-    proper = [x for x in c.arrows if x not in c.position]
-    homs = {(u, v): hom_set(d, u, v) for u in d.objects for v in d.objects}
-    space = 0
+
+    searches, leaves = [], 0
     for images in product(d.objects, repeat=len(c.objects)):
         f = dict(zip(c.objects, images))
-        space += math.prod(len(homs[f[c.dom[x]], f[c.cod[x]]]) for x in proper)
-        if space > ENUMERATION_CAP:
-            raise CapacityError("functor search space too large")
-
-    step = {x: i for i, x in enumerate(proper)}
-    # checks[i]: the products whose last member to be assigned is proper[i];
-    # an identity r is assigned with the object map
-    checks: list[list[tuple[int, int, int]]] = [[] for _ in proper]
-    for p in proper:
-        for q in proper:
-            r = c.compose(p, q)
-            if r is not None:
-                checks[max(step[p], step[q], step.get(r, -1))].append((p, q, r))
-    arrow_map = [0] * c.pm.n
-    out = []
-
-    def extend(i: int):
-        if i == len(proper):
-            out.append(Functor(c, d, tuple(arrow_map)))
-            return
-        x = proper[i]
-        for y in homs[arrow_map[c.dom[x]], arrow_map[c.cod[x]]]:
-            arrow_map[x] = y
-            if all(d.compose(arrow_map[p], arrow_map[q]) == arrow_map[r]
-                   for p, q, r in checks[i]):
-                extend(i + 1)
-
-    for images in product(d.objects, repeat=len(c.objects)):
-        for u, v in zip(c.objects, images):
-            arrow_map[u] = v
-        extend(0)
-    return tuple(sorted(out, key=lambda f: f.arrow_map))
+        pointwise = [(f[x],) if x in f else d.homs[f[c.dom[x]], f[c.cod[x]]] for x in c.arrows]
+        if all(pointwise):  # an object map with an empty hom-set has no leaf
+            searches.append(pointwise)
+            leaves += math.prod(map(len, pointwise))
+            if leaves > ENUMERATION_CAP:
+                raise CapacityError("functor search space too large")
+    found = [Functor(c, d, arrow_map) for pointwise in searches
+             for arrow_map in _homomorphisms(c, pointwise, d.pm.op)]
+    return tuple(sorted(found, key=lambda f: f.arrow_map))
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +272,6 @@ def validate_nat_hom(alpha: NatHom) -> Verdict:
     for x in c.arrows:
         if not is_twin_arrow(d, t(x), s(x), alpha.assignment[x]):
             return Verdict.fail(x, "value is not a twin arrow between the images")
-    return _multiplicative(alpha)
-
-
-def _multiplicative(alpha: NatHom) -> Verdict:
-    """The hom law alone: x∘y goes to the horizontal product of the values."""
-    c = alpha.source.source
     for x in c.arrows:
         for y in c.arrows:
             xy = c.compose(x, y)
@@ -358,35 +363,29 @@ def compose_nat(beta: NatHom, alpha: NatHom) -> NatHom:
     return out
 
 
-def _capped_product(pointwise: list, what: str):
-    """The product of the candidate lists, refused with ``CapacityError``
-    when it has more than ``ENUMERATION_CAP`` members."""
-    if math.prod(map(len, pointwise)) > ENUMERATION_CAP:
-        raise CapacityError(f"{what} search space too large")
-    return product(*pointwise)
-
-
 def enumerate_nat_homs(t: Functor, s: Functor) -> tuple[NatHom, ...]:
-    """All arrow-indexed transformations from t to s.
-
-    Candidates range over the twin-arrow hom-sets pointwise (that part is
-    definitional, so not checked again) and are filtered by multiplicativity.
-    """
+    """All arrow-indexed transformations from t to s: homomorphisms under
+    horizontal multiplication whose value at each arrow x is one of the
+    twin arrows from t(x) to s(x).  ``ENUMERATION_CAP`` bounds the number
+    of leaves without pruning, the product of the candidate counts."""
     _check_parallel(t, s)
     pointwise = [[tw.pair for tw in twin_hom_cases(t.target, t(x), s(x))]
                  for x in t.source.arrows]
-    return tuple(alpha for alpha in (NatHom(t, s, assignment) for assignment
-                                     in _capped_product(pointwise, "transformation"))
-                 if _multiplicative(alpha))
+    if math.prod(map(len, pointwise)) > ENUMERATION_CAP:
+        raise CapacityError("transformation search space too large")
+    return tuple(NatHom(t, s, assignment)
+                 for assignment in _homomorphisms(t.source, pointwise, hmul))
 
 
 def enumerate_nat_trans(t: Functor, s: Functor) -> tuple[NatTrans, ...]:
     """All object-indexed families in the right hom-sets that pass every
-    naturality square."""
+    naturality square, by the literal definition: the encoding bijection's
+    side that does not go through ``_homomorphisms``."""
     _check_parallel(t, s)
     pointwise = [hom_set(t.target, t(u), s(u)) for u in t.source.objects]
-    return tuple(tau for tau in (NatTrans(t, s, comps) for comps
-                                 in _capped_product(pointwise, "component"))
+    if math.prod(map(len, pointwise)) > ENUMERATION_CAP:
+        raise CapacityError("component search space too large")
+    return tuple(tau for tau in (NatTrans(t, s, comps) for comps in product(*pointwise))
                  if _natural(tau))
 
 

@@ -6,10 +6,13 @@ pass and not an exception.  A check added without a case here fails its
 own case.
 """
 
+import importlib
+import pkgutil
 from dataclasses import replace
 
 import pytest
 
+import liftlab
 import liftlab.category_kernel as category_kernel
 import liftlab.filter_calculus as filter_calculus
 import liftlab.lebesgue_diff as lebesgue_diff
@@ -34,6 +37,15 @@ def fresh_caches():
     yield
     for fn in CACHED:
         fn.cache_clear()
+
+
+def test_every_module_cache_is_cleared():
+    # a value built under one fault, such as a twin-arrow search under a
+    # patched hom_set, must not reach the tests that follow
+    cached = {value for info in pkgutil.iter_modules(liftlab.__path__)
+              for value in vars(importlib.import_module(f"liftlab.{info.name}")).values()
+              if hasattr(value, "cache_clear")}
+    assert cached == set(CACHED)
 
 
 def wrap(monkeypatch, module, name, fault):

@@ -1,3 +1,4 @@
+import math
 import time
 from dataclasses import replace
 from itertools import product
@@ -427,6 +428,53 @@ class TestTwinPairCache:
         rep = natequiv_report(cname, dname)
         assert rep["pass"]
         assert len(counted) == calls == rep["arrow_indexed"] * CATS[cname].pm.n
+
+
+def _nat_hom_search_against_oracle(pairs) -> tuple[int, int]:
+    """Functor pairs where ``enumerate_nat_homs`` differs from the
+    product-then-validate oracle, and pairs where the oracle drops a leaf
+    of the product, that is, where the multiplicativity law prunes."""
+    differ = pruned = 0
+    for t, s in pairs:
+        expected = _uncached_nat_homs(t, s)
+        differ += enumerate_nat_homs(t, s) != expected
+        leaves = math.prod(len(twin_hom_cases(t.target, t(x), s(x))) for x in t.source.arrows)
+        pruned += len(expected) < leaves
+    return differ, pruned
+
+
+#: Every functor pair from a regular category of at most 2 arrows to one of
+#: at most 3.  The named categories are posets, where multiplicativity
+#: prunes no leaf; here it prunes in 628 of the 1,518 pairs.
+REGULAR_FUNCTOR_PAIRS = [(t, s) for c in REGULAR_CATS if c.pm.n <= 2 for d in REGULAR_CATS
+                         for fs in (enumerate_functors(c, d),) for t in fs for s in fs]
+
+
+class TestHomSearch:
+    def test_nat_homs_match_the_oracle_where_the_law_prunes(self):
+        assert len(REGULAR_FUNCTOR_PAIRS) == 1518
+        assert _nat_hom_search_against_oracle(REGULAR_FUNCTOR_PAIRS) == (0, 628)
+
+    def test_a_search_without_its_law_fails_where_the_law_prunes(self, monkeypatch):
+        # no product checked anywhere: every leaf of the candidate product
+        # comes back, so exactly the pairs where the law prunes differ
+        monkeypatch.setattr(FiniteCategory, "products",
+                            property(lambda cat: ((),) * cat.pm.n))
+        assert _nat_hom_search_against_oracle(REGULAR_FUNCTOR_PAIRS) == (628, 628)
+
+    @pytest.mark.parametrize("enumerate_, leaves", [
+        (enumerate_nat_homs, 81),  # 3, 9 and 3 twin arrows at the three arrows
+        (enumerate_nat_trans, 3)])  # the one hom-set has three arrows
+    def test_cap_bounds_the_leaves_exactly(self, monkeypatch, enumerate_, leaves):
+        # the identity functor of a three-arrow monoid, to itself
+        m = next(c for c in REGULAR_CATS if len(c.objects) == 1 and c.pm.n == 3)
+        ident = Functor(m, m, m.arrows)
+        expected = enumerate_(ident, ident)
+        monkeypatch.setattr(category_kernel, "ENUMERATION_CAP", leaves)
+        assert enumerate_(ident, ident) == expected
+        monkeypatch.setattr(category_kernel, "ENUMERATION_CAP", leaves - 1)
+        with pytest.raises(CapacityError):
+            enumerate_(ident, ident)
 
 
 class TestTransformEncodings:

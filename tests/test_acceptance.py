@@ -220,7 +220,9 @@ def _relabelled(pm, perm) -> list:
 #: Input documents of the pinned commands: M6 (the category 3) and MSQ (the
 #: square) relabelled so that their units are not listed first, truncated
 #: subtraction, the null monoid on four elements (0 is the unit, every
-#: product of two non-units is 1), and two measure spaces with null atoms.
+#: product of two non-units is 1), an empty table on two elements (not a
+#: category), three measure spaces with null atoms, two transforms on
+#: [1,1,0] (a lifting and the zero map) and a Yoneda scenario.
 COMMAND_DOCUMENTS = {
     "m6": {"kind": "partial_magma", "n": 6,
            "table": _relabelled(named_magmas()["M6"], [4, 1, 3, 2, 5, 0])},
@@ -231,41 +233,80 @@ COMMAND_DOCUMENTS = {
     "null4": {"kind": "category", "n": 4,
               "table": [[y if x == 0 else x if y == 0 else 1 for y in range(4)]
                         for x in range(4)]},
+    "loose2": {"kind": "category", "n": 2, "table": [[None, None], [None, None]]},
     "s1": {"kind": "measure_space", "weights": ["1", "1", "0"]},
+    "s2": {"kind": "measure_space", "weights": ["1", "1", "0", "0"]},
     "six_atoms": {"kind": "measure_space", "weights": ["1", "0", "2", "5", "0", "1"]},
+    "lambda_a": {"kind": "measure_space", "weights": ["1", "1", "0"],
+                 "transform": [0, 5, 2, 7, 0, 5, 2, 7]},
+    "zero_map": {"kind": "measure_space", "weights": ["1", "1", "0"],
+                 "transform": [0] * 8},
+    "yoneda_3_1": {"kind": "scenario", "name": "yoneda", "z_size": 3, "x_size": 1},
 }
 
-#: sha256 of stdout per command line, as ``REPORT_DIGESTS``; "-" reads the
-#: named document from stdin.
+#: (exit code, sha256 of stdout) per command line, as ``REPORT_DIGESTS``;
+#: "-" reads the named document from stdin.
 COMMAND_DIGESTS = {
     ("pm", "classify", "-", "m6", "json"):
-        "e849ea17f3e6cf983cfcc36151920206bc10bf950d5e196f5fad8156c89ecb05",
+        (0, "e849ea17f3e6cf983cfcc36151920206bc10bf950d5e196f5fad8156c89ecb05"),
     ("pm", "classify", "-", "m6", "text"):
-        "f7534ed0b77093c861189dc5cc43e288c335e1c2a4115fa4e021128cb3b252b2",
+        (0, "f7534ed0b77093c861189dc5cc43e288c335e1c2a4115fa4e021128cb3b252b2"),
     ("pm", "classify", "-", "nat_sub", "json"):
-        "82745cc1c3d73ae835eb42007e04ad98185c983d9e36dbb61b3cc358be5c7761",
+        (0, "82745cc1c3d73ae835eb42007e04ad98185c983d9e36dbb61b3cc358be5c7761"),
     ("pm", "classify", "-", "nat_sub", "text"):
-        "a414255109cdc7f3d250b61804a17cff173a59814e1c80612625f46f059b3e11",
+        (0, "a414255109cdc7f3d250b61804a17cff173a59814e1c80612625f46f059b3e11"),
     ("cat", "twin", "-", "--max-elems", "9", "sq", "json"):
-        "debc9df08050d8d7dd7b3b0393c261ebf5312d974637cae5290a6a0645e1f733",
+        (0, "debc9df08050d8d7dd7b3b0393c261ebf5312d974637cae5290a6a0645e1f733"),
     ("cat", "twin", "-", "--max-elems", "9", "sq", "text"):
-        "096b4068635f5a4fc5b8d9050a99bc2b1355309bf409ba93f96519d172d5f8d9",
+        (0, "096b4068635f5a4fc5b8d9050a99bc2b1355309bf409ba93f96519d172d5f8d9"),
     ("cat", "twin", "-", "null4", "json"):
-        "cfc1c90dd1deecb577f12ef3f1d96924228da76f7173d3db4951cd8cf305c84b",
+        (0, "cfc1c90dd1deecb577f12ef3f1d96924228da76f7173d3db4951cd8cf305c84b"),
     ("cat", "twin", "-", "null4", "text"):
-        "766049af3b9665b9cbb53c763bf74a868577cdf739200c393b88e97852d311a0",
+        (0, "766049af3b9665b9cbb53c763bf74a868577cdf739200c393b88e97852d311a0"),
     ("cat", "natequiv", "--source", "3", "--target", "SQ", None, "json"):
-        "765d3d70283a1defd47faef5dbc3c6459d190ad7a3d229355a90255997a3d297",
+        (0, "765d3d70283a1defd47faef5dbc3c6459d190ad7a3d229355a90255997a3d297"),
     ("cat", "natequiv", "--source", "3", "--target", "SQ", None, "text"):
-        "1b1400f582d9ac2c9055825afdbf2413f1516bcd45c33488668a3da5363c1894",
+        (0, "1b1400f582d9ac2c9055825afdbf2413f1516bcd45c33488668a3da5363c1894"),
     ("space", "theorem1", "-", "s1", "json"):
-        "c3c7249b5957e3c38bb9bb95e3b353b94954a4da01c5558771e05f8c01598564",
+        (0, "c3c7249b5957e3c38bb9bb95e3b353b94954a4da01c5558771e05f8c01598564"),
     ("space", "theorem1", "-", "s1", "text"):
-        "83ee680a6ca71fb23b6cc53f839464f0d8fc34cf9d8fda8e29ca909af399ca29",
+        (0, "83ee680a6ca71fb23b6cc53f839464f0d8fc34cf9d8fda8e29ca909af399ca29"),
     ("space", "theorem1", "-", "six_atoms", "json"):
-        "d3b3203a85e7b2db2ee9f1dd5c3b27ccf451d9be10ef07c373feb72aadff12c9",
+        (0, "d3b3203a85e7b2db2ee9f1dd5c3b27ccf451d9be10ef07c373feb72aadff12c9"),
     ("space", "theorem1", "-", "six_atoms", "text"):
-        "6b15bf7cc990509106ddc102e739edf6df4f43419ccb0f3ef7f78feb361448db",
+        (0, "6b15bf7cc990509106ddc102e739edf6df4f43419ccb0f3ef7f78feb361448db"),
+    ("space", "check", "-", "lambda_a", "json"):
+        (0, "799239cf824e041f36973efec8d4fee3ca52abb315ab739d02676f3659480c5e"),
+    ("space", "check", "-", "lambda_a", "text"):
+        (0, "057ebab46bfe593c3138a85fa8f2b8c8fa2b655d685817479fea99b1a924625d"),
+    ("space", "check", "-", "zero_map", "json"):
+        (1, "dc1cea5da9bb1f7870d8d7e90edc13d64a96d314dd66a6ffaf9047363c46a3e6"),
+    ("space", "check", "-", "zero_map", "text"):
+        (1, "3922e937c90e04ded881ba5a6ba10644cbe5168294c695d9314f93b379bb12c0"),
+    ("space", "liftings", "-", "--oracle", "s1", "json"):
+        (0, "2456f78976210485d50dbe79ab2a4875f078af493edb83d2f68f8193c66d92bc"),
+    ("space", "liftings", "-", "--oracle", "s1", "text"):
+        (0, "223cc7faeca42ea4429600e4779923f5b05f4bd0eda2673cda009e83da8f4842"),
+    ("space", "liftings", "-", "--oracle", "s2", "json"):
+        (0, "bbc8a79e92f0759e171d9d173990c27f3318b86d90e5105ef8b3f399043be5d1"),
+    ("space", "liftings", "-", "--oracle", "s2", "text"):
+        (0, "4cff921be8af6e7d833d021f360730b28f054963687fb7d77fe3d524d1d12755"),
+    ("pm", "interchange", "-", "m6", "json"):
+        (0, "23f57c2c0dc2734eb4c232cc674ef02d9658164ec74be09603725e2a8aa76ccf"),
+    ("pm", "interchange", "-", "m6", "text"):
+        (0, "d2d6b175f2ea66aa62a07808b4172da876963dba3dd51139eb369aa6452315ac"),
+    ("yoneda", "roundtrip", "--z-size", "2", "--x-size", "1", None, "json"):
+        (0, "c7a4c0e5b41c7612723519fe589b6fa901af42e43546772e5de22702401bc620"),
+    ("yoneda", "roundtrip", "--z-size", "2", "--x-size", "1", None, "text"):
+        (0, "0af5ee598ab5cbfed00d8a7cb8433bd9cf07a941f14989766bb66d378277f743"),
+    ("yoneda", "roundtrip", "-", "yoneda_3_1", "json"):
+        (0, "85314ba560052a3fd59fb94d885e7f51aac4f0f28417c79878768c139cbb37d4"),
+    ("yoneda", "roundtrip", "-", "yoneda_3_1", "text"):
+        (0, "a0d9ae8683ab5a268844328a8789140e7d87f7b4d27dfe07e027ff857555d6ef"),
+    ("cat", "twin", "-", "loose2", "json"):
+        (1, "6066bb6eb90b2c0480115929e2293e144000136454b36d5c6f672822e23afb79"),
+    ("cat", "twin", "-", "loose2", "text"):
+        (1, "be7d08cb98968dfe291ec5333b807751f881143d164cc0ea67f169372bfb2fe5"),
 }
 
 
@@ -298,11 +339,20 @@ def test_report_bytes_match_the_pinned_digest(args, pinned):
     assert _digest(result) == REPORT_DIGESTS[pinned]
 
 
-@pytest.mark.parametrize("key", list(COMMAND_DIGESTS),
-                         ids=lambda key: f"{key[1]}_{key[-2] or '3_SQ'}_{key[-1]}")
+def _command_id(key) -> str:
+    """Subcommand, document (else the flags' values) and format."""
+    *args, document, fmt = key
+    source = document or "_".join(a for a in args[2:] if not a.startswith("--"))
+    return f"{args[1]}_{source}_{fmt}"
+
+
+@pytest.mark.parametrize("key", list(COMMAND_DIGESTS), ids=_command_id)
 def test_command_bytes_match_the_pinned_digest(key):
     *args, document, fmt = key
     stdin = json.dumps(COMMAND_DOCUMENTS[document]) if document else None
     result = CliRunner().invoke(cli_main, [*args, "--format", fmt], input=stdin)
-    assert result.exit_code == 0
-    assert _digest(result) == COMMAND_DIGESTS[key]
+    code, digest = COMMAND_DIGESTS[key]
+    assert result.exit_code == code
+    assert _digest(result) == digest
+    if fmt == "json":
+        assert (json.loads(result.stdout)["status"] == "pass") == (code == 0)

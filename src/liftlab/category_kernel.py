@@ -24,9 +24,7 @@ from itertools import product
 
 from .partial_magma import (PartialMagma, classify, hmul, matrix_magma,
                             nat_subtraction_magma, product_pm, vmul)
-from .verdict import CapacityError, InternalCheckError, Verdict
-
-ENUMERATION_CAP = 10_000_000
+from .verdict import ENUMERATION_CAP, CapacityError, InternalCheckError, Verdict
 
 
 @dataclass(frozen=True)

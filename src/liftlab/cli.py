@@ -41,7 +41,9 @@ class InputError(Exception):
     pass
 
 
-def _read_document(path: str) -> dict:
+def _read_document(path: str, kind: str, name: str | None = None) -> dict:
+    """The JSON object at ``path`` ("-" reads stdin), which must be of
+    ``kind`` and, when ``name`` is given, carry that name."""
     try:
         raw = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -52,12 +54,23 @@ def _read_document(path: str) -> dict:
         raise InputError(f"invalid JSON: {exc}")
     if not isinstance(doc, dict) or "kind" not in doc:
         raise InputError("document must be a JSON object with a 'kind' field")
+    if doc["kind"] != kind or (name and doc.get("name") != name):
+        raise InputError(f"expected a {kind} document named {name!r}" if name
+                         else f"expected kind {kind!r}, got {doc['kind']!r}")
     return doc
 
 
-def _space_from_doc(doc: dict, max_atoms: int):
-    if doc["kind"] != "measure_space":
-        raise InputError(f"expected kind 'measure_space', got {doc['kind']!r}")
+def _scenario_or_flags(path: str | None, name: str, **flags) -> list:
+    """The flags' values, in order, each replaced by the field of the same
+    name in the scenario document ``name`` at ``path`` when one is given."""
+    if path:
+        doc = _read_document(path, "scenario", name)
+        flags = {k: doc.get(k, v) for k, v in flags.items()}
+    return list(flags.values())
+
+
+def _read_space(path: str, max_atoms: int):
+    doc = _read_document(path, "measure_space")
     weights = doc.get("weights")
     if not isinstance(weights, list) or not weights:
         raise InputError("'weights' must be a non-empty list of rational strings")
@@ -80,9 +93,8 @@ def _space_from_doc(doc: dict, max_atoms: int):
     return space, transform
 
 
-def _pm_from_doc(doc: dict, max_elems: int, kind: str):
-    if doc["kind"] != kind:
-        raise InputError(f"expected kind {kind!r}, got {doc['kind']!r}")
+def _read_pm(path: str, max_elems: int, kind: str):
+    doc = _read_document(path, kind)
     n = doc.get("n")
     table = doc.get("table")
     if type(n) is not int or n < 1:
@@ -148,14 +160,16 @@ def seed_option(fn):
                         help="Seed for the randomized sub-checks.")(fn)
 
 
-def _command(group, name: str, text=_text_lines):
+def _command(group, name: str, text=_text_lines, envelope: bool = True):
     """Register the decorated body as ``group``'s command ``name``, behind
     the CLI's exception boundary.
 
     The body validates its input and computes, then returns ``(report,
-    ok)``.  The boundary adds ``--format``, prints the report (``text``
-    renders the text format) and exits 0 if ``ok``, else 1; stderr gets the
-    elapsed time.  Bad input and refused capacity exit 2, and a failed
+    ok)``.  The boundary adds ``--format``, puts the report in its envelope
+    (``command`` first and ``status``, read off ``ok``, last; ``envelope=
+    False`` keeps the body's document as it is), prints it (``text``
+    renders the text format) and exits 0 if ``ok``, else 1; stderr gets
+    the elapsed time.  Bad input and refused capacity exit 2, and a failed
     theorem exits 3, each with one stderr line and no report.
     """
     def register(body):
@@ -169,6 +183,9 @@ def _command(group, name: str, text=_text_lines):
             except InternalCheckError as exc:
                 code, line = EXIT_INTERNAL, f"internal error: {exc}"
             else:
+                if envelope:
+                    report = {"command": f"{group.name} {name}", **report,
+                              "status": "pass" if ok else "fail"}
                 _emit(report, fmt, text)
                 code = EXIT_PASS if ok else EXIT_FAIL
                 line = f"elapsed_seconds: {time.monotonic() - started:.2f}"
@@ -219,7 +236,7 @@ def space():
 @click.option("--max-atoms", type=click.IntRange(min=1), default=12, show_default=True)
 def space_check(input_path, max_atoms):
     """Evaluate all nine transform properties plus the two bundles."""
-    sp, transform = _space_from_doc(_read_document(input_path), max_atoms)
+    sp, transform = _read_space(input_path, max_atoms)
     if transform is None:
         raise InputError("'space check' needs a 'transform' table")
     properties = {p.value: check_property(transform, p) for p in TransformProperty}
@@ -227,13 +244,11 @@ def space_check(input_path, max_atoms):
     ok = (all(v.holds for v in properties.values())
           and all(r.status != "violated" for r in implications))
     report = {
-        "command": "space check",
         "weights": [str(w) for w in sp.weights],
         "properties": {k: v.to_dict() for k, v in properties.items()},
         "lower_density": is_lower_density(transform).to_dict(),
         "lifting": is_lifting(transform).to_dict(),
         "implications": [r.to_dict() for r in implications],
-        "status": "pass" if ok else "fail",
     }
     return report, ok
 
@@ -246,12 +261,11 @@ def space_check(input_path, max_atoms):
               help="Also run the brute-force (or sampled) oracle.")
 def space_liftings(input_path, seed, max_atoms, oracle):
     """Enumerate all liftings and verify each one."""
-    sp, _ = _space_from_doc(_read_document(input_path), max_atoms)
+    sp, _ = _read_space(input_path, max_atoms)
     liftings = enumerate_liftings(sp)
     verified = [bool(is_lifting(t)) for t in liftings]
     ok = all(verified)
     report = {
-        "command": "space liftings",
         "weights": [str(w) for w in sp.weights],
         "count": len(liftings),
         "liftings": [{"retraction": list(lifting_retraction(t)),
@@ -269,7 +283,6 @@ def space_liftings(input_path, seed, max_atoms, oracle):
             report["oracle"] = {"mode": "exhaustive", "count": len(brute),
                                 "agrees": agree}
             ok = ok and agree
-    report["status"] = "pass" if ok else "fail"
     return report, ok
 
 
@@ -278,14 +291,9 @@ def space_liftings(input_path, seed, max_atoms, oracle):
 @click.option("--max-atoms", type=click.IntRange(min=1), default=12, show_default=True)
 def space_theorem1(input_path, max_atoms):
     """Run the full two-way lifting/limit-operator pipeline."""
-    sp, _ = _space_from_doc(_read_document(input_path), max_atoms)
+    sp, _ = _read_space(input_path, max_atoms)
     rep = verify_theorem1(sp)
-    ok = rep.all_pass
-    report = {"command": "space theorem1",
-              "notes": {"ultrafilter_tiebreak": "lowest-index"},
-              **rep.to_dict(),
-              "status": "pass" if ok else "fail"}
-    return report, ok
+    return {"notes": {"ultrafilter_tiebreak": "lowest-index"}, **rep.to_dict()}, rep.all_pass
 
 
 @main.group()
@@ -298,16 +306,14 @@ def pm():
 @click.option("--max-elems", type=click.IntRange(min=1), default=8, show_default=True)
 def pm_classify(input_path, max_elems):
     """Classify a partial magma (units, associativity, fastening)."""
-    magma = _pm_from_doc(_read_document(input_path), max_elems, "partial_magma")
+    magma = _read_pm(input_path, max_elems, "partial_magma")
     c = classify(magma)
-    report = {"command": "pm classify", "n": magma.n,
-              "classification": c.to_dict()}
+    report = {"n": magma.n, "classification": c.to_dict()}
     ok = True
     if c.regular:
         v = single_unit_totality(c)
         report["single_unit_totality"] = v.to_dict()
         ok = bool(v)
-    report["status"] = "pass" if ok else "fail"
     return report, ok
 
 
@@ -316,11 +322,9 @@ def pm_classify(input_path, max_elems):
 @click.option("--max-elems", type=click.IntRange(min=1), default=8, show_default=True)
 def pm_interchange(input_path, max_elems):
     """Check the interchange law on all quadruples of pairs."""
-    magma = _pm_from_doc(_read_document(input_path), max_elems, "partial_magma")
+    magma = _read_pm(input_path, max_elems, "partial_magma")
     rep = interchange_check(magma)
-    report = {"command": "pm interchange", "n": magma.n, **rep.to_dict(),
-              "status": "pass" if rep.holds else "fail"}
-    return report, rep.holds
+    return {"n": magma.n, **rep.to_dict()}, rep.holds
 
 
 @main.group()
@@ -333,50 +337,38 @@ def cat():
 @click.option("--max-elems", type=click.IntRange(min=1), default=8, show_default=True)
 def cat_twin(input_path, max_elems):
     """Build the twin category and confirm it recaptures the hom-sets."""
-    magma = _pm_from_doc(_read_document(input_path), max_elems, "category")
+    magma = _read_pm(input_path, max_elems, "category")
     try:
         base = FiniteCategory(magma)
     except ValueError as exc:
-        return {"command": "cat twin", "regular": False, "detail": str(exc),
-                "status": "fail"}, False
+        return {"regular": False, "detail": str(exc)}, False
     tw = twin_category(base)
     ok = bool(hom_recapture(base, tw))
     report = {
-        "command": "cat twin",
         "regular": True,
         "objects": len(base.objects),
         "arrows": magma.n,
         "twin_objects": len(tw.category.objects),
         "twin_arrows": tw.category.pm.n,
         "hom_recapture": ok,
-        "status": "pass" if ok else "fail",
     }
     return report, ok
 
 
 @_command(cat, "natequiv")
 @click.argument("input_path", required=False)
-@click.option("--source", "source_name", default=None,
-              help="Named source category (1, 2, II, 3, SQ).")
-@click.option("--target", "target_name", default=None,
-              help="Named target category.")
-def cat_natequiv(input_path, source_name, target_name):
+@click.option("--source", default=None, help="Named source category (1, 2, II, 3, SQ).")
+@click.option("--target", default=None, help="Named target category.")
+def cat_natequiv(input_path, source, target):
     """Count both encodings of transformations and verify the bijection."""
-    if input_path:
-        doc = _read_document(input_path)
-        if doc["kind"] != "scenario" or doc.get("name") != "natequiv":
-            raise InputError("expected a scenario document named 'natequiv'")
-        source_name = doc.get("source", source_name)
-        target_name = doc.get("target", target_name)
-    if not source_name or not target_name:
+    source, target = _scenario_or_flags(input_path, "natequiv", source=source, target=target)
+    if not source or not target:
         raise InputError("need --source and --target (or a scenario document)")
-    if not all(type(c) is str and c in NAMED_SHAPES for c in (source_name, target_name)):
+    if not all(type(c) is str and c in NAMED_SHAPES for c in (source, target)):
         raise InputError(f"unknown category; pick from {sorted(NAMED_SHAPES)}")
-    rep = natequiv_report(source_name, target_name)
+    rep = natequiv_report(source, target)
     ok = rep.pop("pass")
-    report = {"command": "cat natequiv", "source": source_name,
-              "target": target_name, **rep, "status": "pass" if ok else "fail"}
-    return report, ok
+    return {"source": source, "target": target, **rep}, ok
 
 
 @main.group()
@@ -390,12 +382,7 @@ def yoneda():
 @click.option("--x-size", type=int, default=None)
 def yoneda_roundtrip_cmd(input_path, z_size, x_size):
     """Count natural candidates and verify both round trips."""
-    if input_path:
-        doc = _read_document(input_path)
-        if doc["kind"] != "scenario" or doc.get("name") != "yoneda":
-            raise InputError("expected a scenario document named 'yoneda'")
-        z_size = doc.get("z_size", z_size)
-        x_size = doc.get("x_size", x_size)
+    z_size, x_size = _scenario_or_flags(input_path, "yoneda", z_size=z_size, x_size=x_size)
     if z_size is None or x_size is None:
         raise InputError("need --z-size and --x-size (or a scenario document)")
     if type(z_size) is not int or type(x_size) is not int:
@@ -405,19 +392,15 @@ def yoneda_roundtrip_cmd(input_path, z_size, x_size):
     from .yoneda_finite import yoneda_roundtrip
 
     rep = yoneda_roundtrip(z_size, x_size)
-    report = {"command": "yoneda roundtrip", **rep.to_dict(),
-              "status": "pass" if rep.all_pass else "fail"}
-    return report, rep.all_pass
+    return rep.to_dict(), rep.all_pass
 
 
-@_command(main, "report", text=_report_lines)
+@_command(main, "report", text=_report_lines, envelope=False)
 @seed_option
 @click.option("--quick", is_flag=True, help="Skip the heavy exhaustive sweeps.")
-@click.option("--parallel", type=click.IntRange(min=1), default=1, show_default=True,
-              help="Worker processes for independent checks.")
-def report_cmd(seed, quick, parallel):
+def report_cmd(seed, quick):
     """Run the whole verification battery over the built-in fixtures."""
-    result = run_suite(seed=seed, quick=quick, parallel=parallel)
+    result = run_suite(seed=seed, quick=quick)
     return result, result["all_pass"]
 
 

@@ -27,7 +27,7 @@ import random
 
 from .filter_calculus import filter_from_base, ultrafilter_refine
 from .measure_space import MeasureSpace, ae_equal, bits, is_null
-from .verdict import CapacityError, InternalCheckError, Verdict
+from .verdict import ENUMERATION_CAP, CapacityError, InternalCheckError, Verdict
 
 
 class TransformProperty(Enum):
@@ -394,9 +394,17 @@ def lifting_retraction(lifting: SetTransform) -> tuple[int, ...]:
 
 def enumerate_liftings(space: MeasureSpace) -> list[SetTransform]:
     """All liftings, via the retraction characterization, in the
-    lexicographic order of the null atoms' images."""
+    lexicographic order of the null atoms' images.
+
+    p positive and m null atoms give p^m liftings of 2^n entries each; past
+    ``ENUMERATION_CAP`` entries in all this raises ``CapacityError`` before
+    it builds any table."""
     pos = list(bits(space.pos_mask))
     nulls = list(bits(space.null_mask))
+    entries = len(pos) ** len(nulls) * (space.full_mask + 1)
+    if entries > ENUMERATION_CAP:
+        raise CapacityError(f"{len(pos)}^{len(nulls)} liftings of 2^{space.n} entries "
+                            f"each are {entries} entries, over the cap of {ENUMERATION_CAP}")
     out = []
     for choice in product(pos, repeat=len(nulls)):
         g = list(range(space.n))

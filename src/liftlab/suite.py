@@ -291,22 +291,14 @@ CHECKS: dict = {
 
 def run_check(name: str, seed: int = 0) -> dict:
     fn, _ = CHECKS[name]
-    out = fn(seed)
-    out["name"] = name
-    return out
+    return fn(seed)
 
 
-def run_suite(seed: int = 0, quick: bool = False, parallel: int = 1) -> dict:
+def run_suite(seed: int = 0, quick: bool = False) -> dict:
     names = [n for n, (_, heavy) in CHECKS.items() if not (quick and heavy)]
-    if parallel > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(parallel, len(names))) as pool:
-            results = list(pool.map(run_check, names, [seed] * len(names)))
-    else:
-        results = [run_check(n, seed) for n in names]
-    checks = [{"name": r.pop("name"), "pass": r.pop("pass"), "details": jsonable(r)}
-              for r in results]
+    results = [(n, run_check(n, seed)) for n in names]
+    checks = [{"name": n, "pass": r.pop("pass"), "details": jsonable(r)}
+              for n, r in results]
     return {
         "suite": "liftlab-verification",
         "version": __version__,

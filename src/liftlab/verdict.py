@@ -28,6 +28,11 @@ class CapacityError(ValueError):
     """
 
 
+#: The most items (table entries, search leaves, composable triples) an
+#: exhaustive search may build before it refuses with ``CapacityError``.
+ENUMERATION_CAP = 10_000_000
+
+
 @dataclass(frozen=True)
 class Verdict:
     holds: bool

@@ -1,11 +1,13 @@
-import concurrent.futures
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -177,7 +179,6 @@ class TestExceptionBoundary:
         assert result.stdout == ""
 
     @pytest.mark.parametrize("args, message", [
-        (["report", "--parallel", "0"], "'--parallel': 0 is not in the range x>=1."),
         (["report", "--format", "xml"], "'--format': 'xml' is not one of 'json', 'text'."),
         (["yoneda", "roundtrip", "--z-size", "abc"], "'--z-size': 'abc' is not a valid integer."),
         (["space", "check", "-", "--max-atoms", "0"], "'--max-atoms': 0 is not in the range x>=1."),
@@ -189,7 +190,7 @@ class TestExceptionBoundary:
         (["pm", "interchange", "-", "--max-elems", "-1"],
          "'--max-elems': -1 is not in the range x>=1."),
         (["cat", "twin", "-", "--max-elems", "0"], "'--max-elems': 0 is not in the range x>=1."),
-    ], ids=["parallel_zero", "format_xml", "z_size_abc", "check_max_atoms_zero",
+    ], ids=["format_xml", "z_size_abc", "check_max_atoms_zero",
             "liftings_max_atoms_negative", "theorem1_max_atoms_negative",
             "classify_max_elems_zero", "interchange_max_elems_negative", "twin_max_elems_zero"])
     def test_usage_error_exits_2_with_one_line(self, runner, args, message):
@@ -249,6 +250,18 @@ class TestExceptionBoundary:
         assert proc.stderr.startswith("input error: bad weights")
         assert proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["liftings", "theorem1"])
+    def test_too_many_lifting_entries_exit_2_fast_in_a_fresh_process(self, tmp_path,
+                                                                     command):
+        # 8 positive and 4 null atoms: 8^4 liftings of 2^12 entries each
+        doc = write(tmp_path, "8_4.json",
+                    {"kind": "measure_space", "weights": ["1"] * 8 + ["0"] * 4})
+        proc = subprocess.run([sys.executable, "-m", "liftlab.cli", "space", command, doc],
+                              env=_source_env(), capture_output=True, text=True, timeout=1.5)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == ("input error: 8^4 liftings of 2^12 entries each are "
+                               "16777216 entries, over the cap of 10000000\n")
+
     def test_commands_leave_numpy_unimported(self, tmp_path):
         # importing numpy costs about 0.18 s and 14 MB of RSS, more than
         # any of these commands needs
@@ -290,22 +303,19 @@ class TestExceptionBoundary:
         assert proc.returncode == 0, proc.stderr
 
     def test_serial_runs_leave_the_process_pool_unimported(self):
-        # the pool's import loads 36 standard-library modules (about 2 MB
-        # of RSS and 20-30 ms of start-up) that only `report --parallel` uses
+        # a process pool's import loads 36 standard-library modules (about
+        # 2 MB of RSS and 20-30 ms of start-up) that the report has no use for
         script = ("import sys\n"
                   "from click.testing import CliRunner\n"
                   "import liftlab.cli\n"
                   "from liftlab.suite import run_suite\n"
                   "result = CliRunner().invoke(liftlab.cli.main, ['report', '--quick'])\n"
                   "assert result.exit_code == 0, result.output\n"
-                  "serial = run_suite(quick=True)\n"
+                  "run_suite(quick=True)\n"
                   "pool_modules = ['concurrent.futures.process', 'multiprocessing',\n"
                   "                'socket', 'pickle']\n"
                   "loaded = [m for m in pool_modules if m in sys.modules]\n"
-                  "assert not loaded, f'serial run imported {loaded}'\n"
-                  "fanned = run_suite(quick=True, parallel=2)\n"
-                  "assert 'concurrent.futures.process' in sys.modules\n"
-                  "assert fanned == serial\n")
+                  "assert not loaded, f'serial run imported {loaded}'\n")
         proc = subprocess.run([sys.executable, "-c", script], env=_source_env(),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
@@ -638,47 +648,32 @@ class TestReport:
                                       "--seed", "9"])
         assert json.loads(result.stdout)["seed"] == 9
 
-    @pytest.mark.parametrize("parallel", [2, 5000])
-    def test_parallel_starts_at_most_one_worker_per_check(self, monkeypatch, parallel):
-        # a stand-in pool that records its size and runs the checks inline,
-        # so no worker process is started at any count
-        sizes = []
 
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+def _readme_command_lines() -> list[str]:
+    """Every ``liftlab ...`` line of the README's ``sh`` blocks, also one
+    piped into, without its ``#`` comment."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S):
+        for line in block.splitlines():
+            command = line.split("#", 1)[0].split("|")[-1].strip()
+            if command.startswith("liftlab "):
+                lines.append(command)
+    return lines
 
-            def __enter__(self):
-                return self
 
-            def __exit__(self, *exc):
-                return False
+def test_the_readme_lists_its_commands():
+    # the parser below sees the piped example, so a stale line cannot hide there
+    lines = _readme_command_lines()
+    assert "liftlab space check -" in lines and len(lines) >= 10
 
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
 
-        # run_suite imports the pool only when it fans out, so patch the
-        # name that import reads
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(liftlab.suite, "CHECKS", {
-            name: (lambda seed: {"pass": True}, False) for name in ("one", "two", "three")})
-        result = liftlab.suite.run_suite(parallel=parallel)
-        assert [c["name"] for c in result["checks"]] == ["one", "two", "three"]
-        assert sizes == [min(parallel, 3)]
-
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_parallel_below_one_is_a_usage_error(self, runner, value):
-        result = runner.invoke(main, ["report", "--parallel", value])
-        assert result.exit_code == 2
-        assert result.stdout == ""
-        assert result.stderr.startswith("input error: ")
-        assert result.stderr.count("\n") == 1
-        assert "'--parallel'" in result.stderr
-        assert f"{value} is not in the range" in result.stderr
-
-    def test_parallel_agrees_with_serial(self, runner):
-        serial = runner.invoke(main, ["report", "--quick", "--format", "json"])
-        fanned = runner.invoke(main, ["report", "--quick", "--format", "json",
-                                      "--parallel", "3"])
-        assert fanned.exit_code == 0
-        assert serial.stdout_bytes == fanned.stdout_bytes
+@pytest.mark.parametrize("line", _readme_command_lines())
+def test_readme_command_parses(line):
+    # resolve the subcommand, then parse its options and arguments; nothing runs
+    name, args = "liftlab", shlex.split(line)[1:]
+    ctx, command = None, main
+    while isinstance(command, click.Group):
+        ctx = click.Context(command, info_name=name, parent=ctx)
+        name, command, args = command.resolve_command(ctx, args)
+    command.make_context(name, args, parent=ctx)

@@ -19,7 +19,7 @@ from liftlab.lebesgue_diff import (NOT_REACHED, FilterKernel,
 from liftlab.measure_algebra import BooleanHom, SetTransform, enumerate_liftings
 from liftlab.measure_space import (PartialFn, averageable_code, averageable_sets,
                                    bits, build_space, indicator, total_fn)
-from liftlab.verdict import Verdict
+from liftlab.verdict import CapacityError, Verdict
 from test_measure_space import measure
 
 A, B, N = 1, 2, 4
@@ -463,6 +463,11 @@ class TestTheoremOne:
         report = verify_theorem1(no_null)
         assert len(report.entries) == 1
         assert report.all_pass
+
+    def test_too_many_lifting_entries_are_refused(self):
+        # 8 positive and 4 null atoms: 8^4 liftings of 2^12 entries each
+        with pytest.raises(CapacityError, match="16777216 entries"):
+            verify_theorem1(build_space([1] * 8 + [0] * 4))
 
 
 #: Names the theorem-1 pipeline calls its stages and statements through.

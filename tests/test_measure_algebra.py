@@ -17,7 +17,7 @@ from liftlab.measure_algebra import (BooleanHom, SetTransform,
                                      lower_density_to_lifting, project,
                                      sampled_lifting_oracle)
 from liftlab.measure_space import ae_equal, build_space
-from liftlab.verdict import InternalCheckError
+from liftlab.verdict import CapacityError, InternalCheckError
 
 A, B, N = 1, 2, 4
 
@@ -237,6 +237,16 @@ class TestEnumerateLiftings:
 
     def test_two_null_atoms_give_four(self, s2):
         assert len(enumerate_liftings(s2)) == 4
+
+    def test_the_cap_bounds_the_entries_of_all_tables(self, s2, monkeypatch):
+        # 2^2 liftings of 2^4 entries each; the count is taken before any table
+        monkeypatch.setattr(ma, "ENUMERATION_CAP", 64)
+        assert len(enumerate_liftings(s2)) == 4
+        monkeypatch.setattr(ma, "ENUMERATION_CAP", 63)
+        monkeypatch.setattr(ma, "lifting_from_retraction", None)
+        with pytest.raises(CapacityError, match="2\\^2 liftings of 2\\^4 entries each "
+                                                "are 64 entries, over the cap of 63"):
+            enumerate_liftings(s2)
 
     def test_retraction_roundtrip(self, s2):
         for g in product((0, 1), repeat=2):

@@ -118,6 +118,11 @@ def _emit(report: dict, fmt: str, text) -> None:
         click.echo("\n".join(text(payload)))
 
 
+def _scalar(v) -> str:
+    # an exact int's str is its JSON, without json.dumps's cost per call
+    return str(v) if type(v) is int else json.dumps(v)
+
+
 def _text_lines(obj, depth: int = 0) -> list[str]:
     pad = "  " * depth
     lines: list[str] = []
@@ -128,16 +133,16 @@ def _text_lines(obj, depth: int = 0) -> list[str]:
                 lines.append(f"{pad}{k}:")
                 lines.extend(_text_lines(v, depth + 1))
             else:
-                lines.append(f"{pad}{k}: {json.dumps(v)}")
+                lines.append(f"{pad}{k}: {_scalar(v)}")
     elif isinstance(obj, list):
         for v in obj:
             if isinstance(v, (dict, list)):
                 lines.append(f"{pad}-")
                 lines.extend(_text_lines(v, depth + 1))
             else:
-                lines.append(f"{pad}- {json.dumps(v)}")
+                lines.append(f"{pad}- {_scalar(v)}")
     else:
-        lines.append(f"{pad}{json.dumps(obj)}")
+        lines.append(f"{pad}{_scalar(obj)}")
     return lines
 
 

@@ -34,8 +34,9 @@ from .measure_space import (MeasureSpace, PartialFn, averageable_code,
 from .measure_algebra import (SetTransform, enumerate_liftings, is_lifting,
                               is_boolean_homomorphism, is_lower_density,
                               is_right_inverse, lifting_retraction,
-                              lifting_to_right_inverse, lower_density_to_lifting)
-from .verdict import InternalCheckError, Verdict
+                              lifting_to_right_inverse, lower_density_to_lifting,
+                              refuse_lifting_entries_over)
+from .verdict import THEOREM1_BUDGET, InternalCheckError, Verdict
 
 
 class MeanValues(Mapping):
@@ -278,7 +279,11 @@ def verify_theorem1(space: MeasureSpace) -> TheoremOneReport:
     A failing statement is reported with its witness, not raised; the later
     ones read ``NOT_REACHED``, and ``all_pass`` is false, as it is when a
     round trip lands elsewhere.
+
+    Past ``THEOREM1_BUDGET`` entries in all the liftings' tables this
+    raises ``CapacityError`` before it enumerates anything.
     """
+    refuse_lifting_entries_over(space, THEOREM1_BUDGET, "theorem-1 budget")
     entries = []
     for lifting in enumerate_liftings(space):
         facts: dict = {}

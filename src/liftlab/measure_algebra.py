@@ -26,7 +26,7 @@ from operator import and_
 import random
 
 from .filter_calculus import filter_from_base, ultrafilter_refine
-from .measure_space import MeasureSpace, ae_equal, bits, is_null
+from .measure_space import MeasureSpace, bits
 from .verdict import ENUMERATION_CAP, CapacityError, InternalCheckError, Verdict
 
 
@@ -130,8 +130,10 @@ def _check_pfu(t: SetTransform) -> Verdict:
 
 
 def _check_aei(t: SetTransform) -> Verdict:
+    # a.e. equal: the symmetric difference misses every positive atom
+    pos = t.space.pos_mask
     for q, v in enumerate(t.table):
-        if not ae_equal(t.space, q, v):
+        if (q ^ v) & pos:
             return Verdict.fail(q, "image differs from input on a non-null set")
     return Verdict.ok()
 
@@ -158,8 +160,11 @@ def _check_cwtc(t: SetTransform) -> Verdict:
 
 
 def _check_spmcns(t: SetTransform) -> Verdict:
-    for q in range(len(t.table)):
-        if is_null(t.space, q) and t.table[q] != t.table[0]:
+    # null: disjoint from the positive atoms
+    tab = t.table
+    pos = t.space.pos_mask
+    for q, v in enumerate(tab):
+        if not q & pos and v != tab[0]:
             return Verdict.fail(q, "null input does not share the empty set's image")
     return Verdict.ok()
 
@@ -392,19 +397,26 @@ def lifting_retraction(lifting: SetTransform) -> tuple[int, ...]:
     return tuple(g)
 
 
+def refuse_lifting_entries_over(space: MeasureSpace, cap: int,
+                                name: str = "cap") -> None:
+    """p positive and m null atoms give p^m liftings of 2^n entries each;
+    past ``cap`` entries in all, raise ``CapacityError``, naming the cap."""
+    p, m = space.pos_mask.bit_count(), space.null_mask.bit_count()
+    entries = p ** m * (space.full_mask + 1)
+    if entries > cap:
+        raise CapacityError(f"{p}^{m} liftings of 2^{space.n} entries each are "
+                            f"{entries} entries, over the {name} of {cap}")
+
+
 def enumerate_liftings(space: MeasureSpace) -> list[SetTransform]:
     """All liftings, via the retraction characterization, in the
     lexicographic order of the null atoms' images.
 
-    p positive and m null atoms give p^m liftings of 2^n entries each; past
-    ``ENUMERATION_CAP`` entries in all this raises ``CapacityError`` before
-    it builds any table."""
+    Past ``ENUMERATION_CAP`` entries in all the liftings' tables this
+    raises ``CapacityError`` before it builds any table."""
+    refuse_lifting_entries_over(space, ENUMERATION_CAP)
     pos = list(bits(space.pos_mask))
     nulls = list(bits(space.null_mask))
-    entries = len(pos) ** len(nulls) * (space.full_mask + 1)
-    if entries > ENUMERATION_CAP:
-        raise CapacityError(f"{len(pos)}^{len(nulls)} liftings of 2^{space.n} entries "
-                            f"each are {entries} entries, over the cap of {ENUMERATION_CAP}")
     out = []
     for choice in product(pos, repeat=len(nulls)):
         g = list(range(space.n))

@@ -104,11 +104,6 @@ def is_null(space: MeasureSpace, q: int) -> bool:
     return space.check_set(q) & space.pos_mask == 0
 
 
-def ae_equal(space: MeasureSpace, q: int, r: int) -> bool:
-    """Almost-everywhere equality: the symmetric difference is null."""
-    return is_null(space, space.check_set(q) ^ space.check_set(r))
-
-
 @lru_cache(maxsize=None)
 def averageable_sets(space: MeasureSpace) -> tuple[int, ...]:
     """All sets of positive measure, in ascending bitmask order."""

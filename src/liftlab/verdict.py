@@ -32,6 +32,12 @@ class CapacityError(ValueError):
 #: exhaustive search may build before it refuses with ``CapacityError``.
 ENUMERATION_CAP = 10_000_000
 
+#: The most lifting-table entries (p^m liftings of 2^n entries each, for p
+#: positive and m null atoms) ``verify_theorem1`` takes on before it refuses
+#: with ``CapacityError``: its pipeline costs about 0.25 s per lifting at 12
+#: atoms, so 10+2 atoms (409,600 entries, 26 s) pass and 9+3 (2,985,984) do not.
+THEOREM1_BUDGET = 1_000_000
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -61,6 +67,9 @@ class Verdict:
 
 def jsonable(value: Any) -> Any:
     """Recursively convert witnesses/report payloads to JSON-safe values."""
+    # exact scalars first: the ABC test isinstance(v, Fraction) is slow
+    if value is None or type(value) in (bool, int, str):
+        return value
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, dict):

@@ -6,6 +6,17 @@ that are natural in D correspond exactly to pointwise-ultrafilter kernels
 on Z.  The natural candidates are found by one search that uses only the
 naturality squares: each entry it sets forces the entries its probe maps
 reach, and every complete assignment is checked by ``is_natural``.
+
+Naturality is decided by a generator lemma.  The squares of a composite
+follow from those of its factors, so a candidate is natural for every map
+between the probe sizes 1..k iff it is natural for maps that generate them
+all under composition: per size s >= 2 a transposition, from 3 on a cycle
+(together they generate the bijections of s), and the merge of its last
+two points; per size s < k its inclusion into s + 1.  Every map factors as
+a bijection, merges onto its image's size, inclusions and a bijection.  At
+|Z| = 4 that is 11 of the 494 probe maps.  The lemma decides; only when a
+generator fails does the square-by-square loop run, to find the same first
+witness as always.
 """
 
 from __future__ import annotations
@@ -31,21 +42,23 @@ def compose(phi: tuple[int, ...], f: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(phi[v] for v in f)
 
 
-@lru_cache(maxsize=None)
-def composite_indices(n: int, s: int, t: int) -> tuple[tuple[int, ...], ...]:
-    """Per phi in ``all_functions(s, t)``, the index of phi∘g in
-    ``all_functions(n, t)`` for each g in ``all_functions(n, s)``, in order.
+def _composites(n: int, t: int, phi: tuple[int, ...]) -> tuple[int, ...]:
+    """The index of phi∘g in ``all_functions(n, t)`` for each g in
+    ``all_functions(n, len(phi))``, in order.
 
     The index of a function is its values read as a base-``t`` numeral,
-    first value most significant, so each row is built one digit at a time.
+    first value most significant, so the row is built one digit at a time.
     """
-    out = []
-    for phi in all_functions(s, t):
-        row = [0]
-        for _ in range(n):
-            row = [i * t + v for i in row for v in phi]
-        out.append(tuple(row))
-    return tuple(out)
+    row = [0]
+    for _ in range(n):
+        row = [i * t + v for i in row for v in phi]
+    return tuple(row)
+
+
+@lru_cache(maxsize=None)
+def composite_indices(n: int, s: int, t: int) -> tuple[tuple[int, ...], ...]:
+    """Per phi in ``all_functions(s, t)``, its ``_composites`` row."""
+    return tuple(_composites(n, t, phi) for phi in all_functions(s, t))
 
 
 @dataclass(frozen=True)
@@ -102,16 +115,60 @@ class TauCandidate:
         return all_functions(self.x_count, size)[self.rows[size][i]]
 
 
+def _generating_maps(k: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """Maps (s, t, phi) that generate every map between the sizes 1..k
+    under composition: per size s >= 2 the transposition of its first two
+    points, from 3 on the cycle i -> i + 1, and the merge of its last two
+    points into s - 1; per size s < k the inclusion into s + 1."""
+    transpositions = [(s, s, (1, 0) + tuple(range(2, s))) for s in range(2, k + 1)]
+    cycles = [(s, s, tuple(range(1, s)) + (0,)) for s in range(3, k + 1)]
+    merges = [(s, s - 1, tuple(range(s - 1)) + (s - 2,)) for s in range(2, k + 1)]
+    inclusions = [(s, s + 1, tuple(range(s))) for s in range(1, k)]
+    return tuple(transpositions + cycles + merges + inclusions)
+
+
+@lru_cache(maxsize=None)
+def _generator_squares(z_len: int, x_count: int, k: int) -> tuple:
+    """Per generating map phi: s -> t, (s, t, the gather of ``rows[t]`` at
+    phi's composites on Z, phi's composites on X)."""
+    return tuple((s, t, itemgetter(*_composites(z_len, t, phi)),
+                  _composites(x_count, t, phi))
+                 for s, t, phi in _generating_maps(k))
+
+
 def is_natural(tau: TauCandidate) -> Verdict:
-    """Exhaustive naturality over every probe morphism and every input.
+    """Naturality over every probe morphism and every input.
 
     For each morphism phi: s -> t the squares tau_t(phi∘fn) ==
     phi∘tau_s(fn), one per fn, are decided by one comparison of two index
-    sequences: ``rows[t]`` gathered at ``composite_indices(|Z|, s, t)[phi]``,
-    and ``composite_indices(x_count, s, t)[phi]`` gathered at ``rows[s]``.
-    No square is skipped; on failure the witness is the first
-    (s, t, phi, fn) in lexicographic order.
+    sequences: ``rows[t]`` gathered at phi's composites on Z, and phi's
+    composites on X gathered at ``rows[s]``.
+
+    The squares of a composite follow from those of its factors, so when
+    the probe sizes are 1..k the squares of ``_generating_maps(k)`` decide
+    all of them (the generator lemma of the module docstring).  Only when
+    a generator fails, or for other families, does the loop over every
+    morphism run; on failure the witness is the first (s, t, phi, fn) of
+    that loop in lexicographic order.
     """
+    sizes = tau.probes.sizes
+    k = len(sizes)
+    if max(sizes) == k:  # distinct positive sizes, so exactly 1..k
+        rows = tau.rows
+        if all(on_z(rows[t]) == itemgetter(*rows[s])(on_x)
+               for s, t, on_z, on_x in _generator_squares(len(tau.z_ground),
+                                                          tau.x_count, k)):
+            return Verdict.ok()
+        verdict = _first_broken_square(tau)
+        if verdict:
+            raise InternalCheckError("a generating map's square failed where no "
+                                     "square does")
+        return verdict
+    return _first_broken_square(tau)
+
+
+def _first_broken_square(tau: TauCandidate) -> Verdict:
+    """The square-by-square loop over every morphism phi: s -> t."""
     z_len = len(tau.z_ground)
     sizes = tau.probes.sizes
     rows = tau.rows

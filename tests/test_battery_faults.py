@@ -26,6 +26,7 @@ from liftlab.measure_algebra import SetTransform
 CACHED = (partial_magma.regular_builds, partial_magma.regular_tables,
           category_kernel.twin_hom_cases,
           yoneda_finite.all_functions, yoneda_finite.composite_indices,
+          yoneda_finite._generator_squares,
           measure_space.averageable_sets, measure_space.averageable_code)
 
 

@@ -258,9 +258,21 @@ class TestExceptionBoundary:
                     {"kind": "measure_space", "weights": ["1"] * 8 + ["0"] * 4})
         proc = subprocess.run([sys.executable, "-m", "liftlab.cli", "space", command, doc],
                               env=_source_env(), capture_output=True, text=True, timeout=1.5)
+        cap = {"liftings": "cap of 10000000", "theorem1": "theorem-1 budget of 1000000"}
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == ("input error: 8^4 liftings of 2^12 entries each are "
-                               "16777216 entries, over the cap of 10000000\n")
+                               f"16777216 entries, over the {cap[command]}\n")
+
+    def test_theorem1_over_its_budget_exits_2_fast_in_a_fresh_process(self, tmp_path):
+        # 9 positive and 3 null atoms: within both atom and enumeration caps,
+        # but 9^3 liftings of 2^12 entries each would take minutes
+        doc = write(tmp_path, "9_3.json",
+                    {"kind": "measure_space", "weights": ["1"] * 9 + ["0"] * 3})
+        proc = subprocess.run([sys.executable, "-m", "liftlab.cli", "space", "theorem1", doc],
+                              env=_source_env(), capture_output=True, text=True, timeout=1.5)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == ("input error: 9^3 liftings of 2^12 entries each are "
+                               "2985984 entries, over the theorem-1 budget of 1000000\n")
 
     def test_commands_leave_numpy_unimported(self, tmp_path):
         # importing numpy costs about 0.18 s and 14 MB of RSS, more than

@@ -1,5 +1,6 @@
 """The structure lemmas that decide the lattice predicates, against the
-exhaustive pair loops they replaced.
+exhaustive pair loops they replaced, and the one-mask-test checks of the
+a.e. identity and of null inputs, against the loops over the definitions.
 
 Each oracle below is the pair loop as it decided the predicate before the
 lemmas: the same iteration order, so the same first witness.  Every fast
@@ -23,8 +24,9 @@ from liftlab.measure_algebra import (BooleanHom, SetTransform,
                                      enumerate_liftings,
                                      is_boolean_homomorphism,
                                      lower_density_to_lifting)
-from liftlab.measure_space import ae_equal, build_space
+from liftlab.measure_space import build_space
 from liftlab.verdict import InternalCheckError, Verdict
+from test_measure_space import ae_equal
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +64,27 @@ LOOPS = {
     TransformProperty.PRESERVES_INTERSECTIONS: loop_pfi,
     TransformProperty.PRESERVES_UNIONS: loop_pfu,
     TransformProperty.CLASS_DETERMINED: loop_spmc,
+}
+
+
+def loop_aei(t: SetTransform) -> Verdict:
+    for q, v in enumerate(t.table):
+        if not ae_equal(t.space, q, v):
+            return Verdict.fail(q, "image differs from input on a non-null set")
+    return Verdict.ok()
+
+
+def loop_spmcns(t: SetTransform) -> Verdict:
+    for q in range(len(t.table)):
+        # null: a.e. equal to the empty set
+        if ae_equal(t.space, q, 0) and t.table[q] != t.table[0]:
+            return Verdict.fail(q, "null input does not share the empty set's image")
+    return Verdict.ok()
+
+
+MASK_LOOPS = {
+    TransformProperty.AE_IDENTITY: loop_aei,
+    TransformProperty.NULL_CLASS_DETERMINED: loop_spmcns,
 }
 
 
@@ -188,6 +211,34 @@ class TestTransformLemmas:
     def test_a_lemma_the_loop_contradicts_is_an_internal_error(self):
         with pytest.raises(InternalCheckError, match="structure lemma"):
             ma._first(iter(()))
+
+
+class TestMaskChecks:
+    @settings(max_examples=300, deadline=None)
+    @given(transforms(), st.sampled_from(sorted(MASK_LOOPS, key=lambda p: p.value)))
+    def test_mask_test_gives_the_loops_verdict_and_witness(self, t, prop):
+        assert check_property(t, prop).to_dict() == MASK_LOOPS[prop](t).to_dict()
+
+    @pytest.mark.parametrize("weights", [[1, 1, 0], [1, 0, 2, 0], [0, 1, 0, 2, 0],
+                                         [1, 0, 2, 5, 3, 1]])
+    def test_every_lifting_and_every_single_bit_mutation(self, weights):
+        space = build_space(weights)
+        verdicts = {prop: set() for prop in MASK_LOOPS}
+        for lifting in enumerate_liftings(space):
+            for q in range(space.full_mask + 1):
+                for bit in range(space.n):
+                    table = list(lifting.table)
+                    table[q] ^= 1 << bit
+                    t = SetTransform(space, tuple(table))
+                    for prop, loop in MASK_LOOPS.items():
+                        verdict = check_property(t, prop)
+                        assert verdict.to_dict() == loop(t).to_dict()
+                        verdicts[prop].add(verdict.holds)
+        # both verdicts occur, except that without null atoms no input but
+        # the empty set is null
+        assert verdicts[TransformProperty.AE_IDENTITY] == {True, False}
+        assert verdicts[TransformProperty.NULL_CLASS_DETERMINED] == (
+            {True, False} if space.null_mask else {True})
 
 
 class TestBooleanHomLemma:

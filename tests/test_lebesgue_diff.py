@@ -19,7 +19,7 @@ from liftlab.lebesgue_diff import (NOT_REACHED, FilterKernel,
 from liftlab.measure_algebra import BooleanHom, SetTransform, enumerate_liftings
 from liftlab.measure_space import (PartialFn, averageable_code, averageable_sets,
                                    bits, build_space, indicator, total_fn)
-from liftlab.verdict import CapacityError, Verdict
+from liftlab.verdict import THEOREM1_BUDGET, CapacityError, Verdict
 from test_measure_space import measure
 
 A, B, N = 1, 2, 4
@@ -468,6 +468,22 @@ class TestTheoremOne:
         # 8 positive and 4 null atoms: 8^4 liftings of 2^12 entries each
         with pytest.raises(CapacityError, match="16777216 entries"):
             verify_theorem1(build_space([1] * 8 + [0] * 4))
+
+    def test_the_budget_bounds_the_entries_before_any_lifting(self, s2, monkeypatch):
+        # 2^2 liftings of 2^4 entries each; the count is taken before any
+        # lifting is enumerated
+        monkeypatch.setattr(leb, "THEOREM1_BUDGET", 64)
+        assert len(verify_theorem1(s2).entries) == 4
+        monkeypatch.setattr(leb, "THEOREM1_BUDGET", 63)
+        monkeypatch.setattr(leb, "enumerate_liftings", None)
+        with pytest.raises(CapacityError, match="2\\^2 liftings of 2\\^4 entries each "
+                                                "are 64 entries, over the theorem-1 "
+                                                "budget of 63"):
+            verify_theorem1(s2)
+
+    def test_the_budget_keeps_ten_atoms_with_two_null(self):
+        # 10^2 liftings of 2^12 entries: the largest split of 12 atoms kept
+        assert 10 ** 2 * 2 ** 12 <= THEOREM1_BUDGET < 9 ** 3 * 2 ** 12
 
 
 #: Names the theorem-1 pipeline calls its stages and statements through.

@@ -16,8 +16,9 @@ from liftlab.measure_algebra import (BooleanHom, SetTransform,
                                      lifting_to_right_inverse,
                                      lower_density_to_lifting, project,
                                      sampled_lifting_oracle)
-from liftlab.measure_space import ae_equal, build_space
+from liftlab.measure_space import build_space
 from liftlab.verdict import CapacityError, InternalCheckError
+from test_measure_space import ae_equal
 
 A, B, N = 1, 2, 4
 

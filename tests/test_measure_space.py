@@ -5,9 +5,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liftlab.measure_space import (PartialFn, ae_equal, as_fraction,
-                                   averageable_sets, bits, build_space,
-                                   indicator)
+from liftlab.measure_space import (PartialFn, as_fraction, averageable_sets,
+                                   bits, build_space, indicator, is_null)
 
 A, B, N = 1, 2, 4  # atom masks in s1
 
@@ -16,6 +15,11 @@ def measure(space, q):
     """The oracle measure: the `Fraction` weights of the atoms of ``q``, added."""
     space.check_set(q)
     return sum((space.weights[i] for i in bits(q)), Fraction(0))
+
+
+def ae_equal(space, q, r):
+    """The oracle a.e. equality: the symmetric difference is null."""
+    return is_null(space, space.check_set(q) ^ space.check_set(r))
 
 
 def conditional_prob(space, q, qp):

@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from operator import itemgetter
 
 import pytest
 
@@ -16,7 +17,7 @@ from liftlab.yoneda_finite import (ProbeFamily, TauCandidate,
                                    composite_indices, default_probes,
                                    enumerate_natural, is_natural, kernel_from_tau,
                                    tau_from_kernel, yoneda_roundtrip)
-from liftlab.verdict import CapacityError, Verdict
+from liftlab.verdict import CapacityError, InternalCheckError, Verdict
 
 LAMBDA_A = (0, 5, 2, 7, 0, 5, 2, 7)
 
@@ -315,6 +316,16 @@ class TestNaturalityOracle:
                 assert not verdict
                 assert verdict == _loop_is_natural(tau)
 
+    @pytest.mark.parametrize("z_len,x_count", [(3, 1), (3, 2), (4, 1)])
+    def test_seeded_assignments(self, z_len, x_count):
+        rng = random.Random(100 * z_len + x_count)
+        probes = default_probes(z_len)
+        for _ in range(30):
+            rows = {s: tuple(rng.randrange(s ** x_count) for _ in range(s ** z_len))
+                    for s in probes.sizes}
+            tau = TauCandidate(tuple(range(z_len)), x_count, probes, rows)
+            assert is_natural(tau) == _loop_is_natural(tau)
+
     def test_break_seen_only_through_non_surjective_maps(self):
         # the size-2 table sends each constant input to the other constant:
         # only the squares out of the one-point probe, and the constant
@@ -336,6 +347,95 @@ class TestNaturalityOracle:
             for phi, row in zip(all_functions(s, t), composite_indices(n, s, t)):
                 assert [targets[i] for i in row] == [compose(phi, g)
                                                      for g in all_functions(n, s)]
+
+
+def _rule_candidate(z_len, rule):
+    """The x_count = 1 candidate over the default probes whose output at
+    fn: Z -> s is ``rule(s, fn)``."""
+    probes = default_probes(z_len)
+    return TauCandidate(tuple(range(z_len)), 1, probes,
+                        {s: tuple(rule(s, fn) for fn in all_functions(z_len, s))
+                         for s in probes.sizes})
+
+
+def _repeated_value(fn, otherwise):
+    """The value fn takes at two points or more, else ``otherwise``."""
+    return next((v for v in fn if fn.count(v) > 1), otherwise)
+
+
+#: Per kind of generating map, a non-natural candidate that all the other
+#: kinds let through.  On |Z| = 1 the size-2 table sends both constants to
+#: 0 (only the swap sees it) or reverses them (natural for bijections only;
+#: the inclusion sees it).  On |Z| = 3 the output is the value taken twice,
+#: and at a bijective input its first value (natural for every injective
+#: map; merges see it) or the point 2 (only the cycle sees it).
+ONLY_SEEN_BY = {
+    "transposition": _rule_candidate(1, lambda s, fn: 0),
+    "inclusion": _rule_candidate(1, lambda s, fn: s - 1 - fn[0]),
+    "merge": _rule_candidate(3, lambda s, fn: _repeated_value(fn, fn[0])),
+    "cycle": _rule_candidate(3, lambda s, fn: _repeated_value(fn, 2)),
+}
+
+
+def _kind(s, t, phi):
+    if t == s + 1:
+        return "inclusion"
+    if t == s - 1:
+        return "merge"
+    return "transposition" if phi[:2] == (1, 0) else "cycle"
+
+
+class TestGeneratorLemma:
+    """The maps that ``is_natural`` checks first generate every probe map,
+    and each kind of them is needed."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_squares(self):
+        yf._generator_squares.cache_clear()
+        yield
+        yf._generator_squares.cache_clear()
+
+    @pytest.mark.parametrize("k,count", [(1, 0), (2, 3), (3, 7), (4, 11), (5, 15)])
+    def test_generators_generate_every_probe_map(self, k, count):
+        generators = yf._generating_maps(k)
+        assert len(generators) == count
+        reached = {(s, s, tuple(range(s))) for s in range(1, k + 1)}
+        frontier = set(reached)
+        while frontier:
+            frontier = {(s, u, compose(psi, phi)) for s, t, phi in frontier
+                        for t2, u, psi in generators if t2 == t} - reached
+            reached |= frontier
+        assert reached == {(s, t, phi) for s in range(1, k + 1) for t in range(1, k + 1)
+                           for phi in all_functions(s, t)}
+
+    @pytest.mark.parametrize("dropped", sorted(ONLY_SEEN_BY))
+    def test_each_kind_of_generator_is_needed(self, monkeypatch, dropped):
+        tau = ONLY_SEEN_BY[dropped]
+        verdict = _loop_is_natural(tau)
+        assert not verdict and is_natural(tau) == verdict
+        original = yf._generating_maps
+        monkeypatch.setattr(yf, "_generating_maps", lambda k: tuple(
+            g for g in original(k) if _kind(*g) != dropped))
+        yf._generator_squares.cache_clear()
+        assert is_natural(tau)
+
+    def test_a_generator_failing_where_no_square_does_is_an_internal_error(self,
+                                                                          monkeypatch):
+        # a fake square: the identity on the one-point probe, with its X
+        # side off by one
+        monkeypatch.setattr(yf, "_generator_squares",
+                            lambda z_len, x_count, k: ((1, 1, itemgetter(0), (1,)),))
+        with pytest.raises(InternalCheckError, match="generating map"):
+            is_natural(_kernel_candidates(2, 1)[0])
+
+    def test_other_families_run_the_loop(self, monkeypatch):
+        monkeypatch.setattr(yf, "_generator_squares", None)
+        probes = ProbeFamily((1, 3))
+        tau = tau_from_kernel(delta_kernel(2, (1,)), probes)
+        assert is_natural(tau) == _loop_is_natural(tau) == Verdict.ok()
+        broken = _with_entry(tau, 3, (0, 1), (2,))
+        assert is_natural(broken) == _loop_is_natural(broken)
+        assert not is_natural(broken)
 
 
 class TestYonedaRoundtrip:

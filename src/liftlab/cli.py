@@ -1,12 +1,14 @@
 """Batch front end: JSON documents in, deterministic reports out.
 
-Reports go to stdout; diagnostics and timing go to stderr so that two runs
-with the same input and seed are byte-identical on stdout.  Exit codes:
-0 all checks pass, 1 a check failed (witness in the report), 2 bad input
-(including a search refused as too large), 3 internal error (a theorem
-failed on concrete data, so the code is wrong).  Every command runs behind
-one exception boundary, ``_command``; exits 2 and 3 write one stderr line,
-and so do click's usage errors (a bad option value, an unknown command).
+Documents carry spaces and magmas; flags carry parameters.  Reports go to
+stdout; diagnostics and timing go to stderr so that two runs with the same
+input and seed are byte-identical on stdout.  Exit codes: 0 all checks
+pass, 1 a check failed (witness in the report), 2 bad input (including a
+search refused as too large), 3 internal error (a theorem failed on
+concrete data, so the code is wrong).  Every command runs behind one
+exception boundary, ``_command``; exits 2 and 3 write one stderr line, and
+so do click's usage errors (a bad option value, a missing option, an
+unknown command).
 """
 
 from __future__ import annotations
@@ -41,9 +43,8 @@ class InputError(Exception):
     pass
 
 
-def _read_document(path: str, kind: str, name: str | None = None) -> dict:
-    """The JSON object at ``path`` ("-" reads stdin), which must be of
-    ``kind`` and, when ``name`` is given, carry that name."""
+def _read_document(path: str, kind: str) -> dict:
+    """The JSON object at ``path`` ("-" reads stdin), which must be of ``kind``."""
     try:
         raw = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -54,19 +55,9 @@ def _read_document(path: str, kind: str, name: str | None = None) -> dict:
         raise InputError(f"invalid JSON: {exc}")
     if not isinstance(doc, dict) or "kind" not in doc:
         raise InputError("document must be a JSON object with a 'kind' field")
-    if doc["kind"] != kind or (name and doc.get("name") != name):
-        raise InputError(f"expected a {kind} document named {name!r}" if name
-                         else f"expected kind {kind!r}, got {doc['kind']!r}")
+    if doc["kind"] != kind:
+        raise InputError(f"expected kind {kind!r}, got {doc['kind']!r}")
     return doc
-
-
-def _scenario_or_flags(path: str | None, name: str, **flags) -> list:
-    """The flags' values, in order, each replaced by the field of the same
-    name in the scenario document ``name`` at ``path`` when one is given."""
-    if path:
-        doc = _read_document(path, "scenario", name)
-        flags = {k: doc.get(k, v) for k, v in flags.items()}
-    return list(flags.values())
 
 
 def _read_space(path: str, max_atoms: int):
@@ -208,7 +199,8 @@ def _usage_errors_on_one_line():
     except click.exceptions.NoArgsIsHelpError:
         raise
     except click.UsageError as exc:
-        click.echo(f"input error: {' '.join(exc.format_message().splitlines())}", err=True)
+        # one line: click puts each listed choice on its own tab-indented line
+        click.echo(f"input error: {' '.join(exc.format_message().split())}", err=True)
         sys.exit(EXIT_INPUT)
 
 
@@ -280,7 +272,7 @@ def space_liftings(input_path, seed, max_atoms, oracle):
         try:
             brute = brute_force_liftings(sp)
         except CapacityError:
-            v = sampled_lifting_oracle(sp, samples=500, seed=seed)
+            v = sampled_lifting_oracle(sp, liftings, samples=500, seed=seed)
             report["oracle"] = {"mode": "sampled", **v.to_dict()}
             ok = ok and bool(v)
         else:
@@ -361,16 +353,12 @@ def cat_twin(input_path, max_elems):
 
 
 @_command(cat, "natequiv")
-@click.argument("input_path", required=False)
-@click.option("--source", default=None, help="Named source category (1, 2, II, 3, SQ).")
-@click.option("--target", default=None, help="Named target category.")
-def cat_natequiv(input_path, source, target):
+@click.option("--source", required=True, type=click.Choice(sorted(NAMED_SHAPES)),
+              help="Named source category.")
+@click.option("--target", required=True, type=click.Choice(sorted(NAMED_SHAPES)),
+              help="Named target category.")
+def cat_natequiv(source, target):
     """Count both encodings of transformations and verify the bijection."""
-    source, target = _scenario_or_flags(input_path, "natequiv", source=source, target=target)
-    if not source or not target:
-        raise InputError("need --source and --target (or a scenario document)")
-    if not all(type(c) is str and c in NAMED_SHAPES for c in (source, target)):
-        raise InputError(f"unknown category; pick from {sorted(NAMED_SHAPES)}")
     rep = natequiv_report(source, target)
     ok = rep.pop("pass")
     return {"source": source, "target": target, **rep}, ok
@@ -382,18 +370,10 @@ def yoneda():
 
 
 @_command(yoneda, "roundtrip")
-@click.argument("input_path", required=False)
-@click.option("--z-size", type=int, default=None)
-@click.option("--x-size", type=int, default=None)
-def yoneda_roundtrip_cmd(input_path, z_size, x_size):
+@click.option("--z-size", required=True, type=click.IntRange(1, 4))
+@click.option("--x-size", required=True, type=click.IntRange(1, 3))
+def yoneda_roundtrip_cmd(z_size, x_size):
     """Count natural candidates and verify both round trips."""
-    z_size, x_size = _scenario_or_flags(input_path, "yoneda", z_size=z_size, x_size=x_size)
-    if z_size is None or x_size is None:
-        raise InputError("need --z-size and --x-size (or a scenario document)")
-    if type(z_size) is not int or type(x_size) is not int:
-        raise InputError("sizes must be integers")
-    if not (1 <= z_size <= 4 and 1 <= x_size <= 3):
-        raise InputError("sizes out of the supported range (z <= 4, x <= 3)")
     from .yoneda_finite import yoneda_roundtrip
 
     rep = yoneda_roundtrip(z_size, x_size)

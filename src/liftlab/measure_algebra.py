@@ -449,15 +449,16 @@ def brute_force_liftings(space: MeasureSpace) -> list[SetTransform]:
     return found
 
 
-def sampled_lifting_oracle(space: MeasureSpace, samples: int, seed: int = 0) -> Verdict:
+def sampled_lifting_oracle(space: MeasureSpace, liftings: list[SetTransform],
+                           samples: int, seed: int = 0) -> Verdict:
     """Spot-check the retraction characterization on a large space.
 
-    Draws random tables from the entrywise a.e.-identity family (the only
-    candidates that can possibly be liftings) and confirms that the full
-    lifting predicate agrees with membership in ``enumerate_liftings``.
+    ``liftings`` is the caller's ``enumerate_liftings(space)``.  Each must
+    pass the lifting predicate; then random tables drawn from the entrywise
+    a.e.-identity family (the only candidates that can possibly be
+    liftings) must pass it exactly when they are among ``liftings``.
     """
     rng = random.Random(seed)
-    liftings = enumerate_liftings(space)
     enumerated = {t.table for t in liftings}
     for t in liftings:
         if not is_lifting(t):

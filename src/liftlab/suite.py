@@ -51,7 +51,8 @@ def _check_s1_lifting_oracle(seed: int) -> dict:
 
 
 def _check_s2_sampled_oracle(seed: int) -> dict:
-    v = sampled_lifting_oracle(build_space([1, 1, 0, 0]), samples=500, seed=seed)
+    space = build_space([1, 1, 0, 0])
+    v = sampled_lifting_oracle(space, enumerate_liftings(space), samples=500, seed=seed)
     return _outcome([] if v else [v.witness], detail=v.to_dict())
 
 

@@ -78,7 +78,7 @@ def jsonable(value: Any) -> Any:
         return [jsonable(v) for v in value]
     if isinstance(value, Verdict):
         return value.to_dict()
-    if value is None or isinstance(value, (bool, int, float, str)):
+    if isinstance(value, (int, float, str)):
         return value
     if hasattr(value, "to_dict"):
         return value.to_dict()

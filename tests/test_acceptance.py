@@ -221,8 +221,8 @@ def _relabelled(pm, perm) -> list:
 #: square) relabelled so that their units are not listed first, truncated
 #: subtraction, the null monoid on four elements (0 is the unit, every
 #: product of two non-units is 1), an empty table on two elements (not a
-#: category), three measure spaces with null atoms, two transforms on
-#: [1,1,0] (a lifting and the zero map) and a Yoneda scenario.
+#: category), three measure spaces with null atoms and two transforms on
+#: [1,1,0] (a lifting and the zero map).
 COMMAND_DOCUMENTS = {
     "m6": {"kind": "partial_magma", "n": 6,
            "table": _relabelled(named_magmas()["M6"], [4, 1, 3, 2, 5, 0])},
@@ -241,7 +241,6 @@ COMMAND_DOCUMENTS = {
                  "transform": [0, 5, 2, 7, 0, 5, 2, 7]},
     "zero_map": {"kind": "measure_space", "weights": ["1", "1", "0"],
                  "transform": [0] * 8},
-    "yoneda_3_1": {"kind": "scenario", "name": "yoneda", "z_size": 3, "x_size": 1},
 }
 
 #: (exit code, sha256 of stdout) per command line, as ``REPORT_DIGESTS``;
@@ -299,9 +298,9 @@ COMMAND_DIGESTS = {
         (0, "c7a4c0e5b41c7612723519fe589b6fa901af42e43546772e5de22702401bc620"),
     ("yoneda", "roundtrip", "--z-size", "2", "--x-size", "1", None, "text"):
         (0, "0af5ee598ab5cbfed00d8a7cb8433bd9cf07a941f14989766bb66d378277f743"),
-    ("yoneda", "roundtrip", "-", "yoneda_3_1", "json"):
+    ("yoneda", "roundtrip", "--z-size", "3", "--x-size", "1", None, "json"):
         (0, "85314ba560052a3fd59fb94d885e7f51aac4f0f28417c79878768c139cbb37d4"),
-    ("yoneda", "roundtrip", "-", "yoneda_3_1", "text"):
+    ("yoneda", "roundtrip", "--z-size", "3", "--x-size", "1", None, "text"):
         (0, "a0d9ae8683ab5a268844328a8789140e7d87f7b4d27dfe07e027ff857555d6ef"),
     ("cat", "twin", "-", "loose2", "json"):
         (1, "6066bb6eb90b2c0480115929e2293e144000136454b36d5c6f672822e23afb79"),

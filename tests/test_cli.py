@@ -121,33 +121,44 @@ def _doc(payload) -> str:
     return json.dumps(payload)
 
 
-def _yoneda(z_size) -> str:
-    return _doc({"kind": "scenario", "name": "yoneda", "z_size": z_size, "x_size": 1})
-
-
 def _table(kind) -> str:
     return _doc({"kind": kind, "n": 2, "table": [[0, 0.5], [None, 1]]})
 
 
 # Bad input that once exited 1 with a traceback, hung, or ran as valid input.
 BAD_INPUT = {
-    "yoneda_string_size": (["yoneda", "roundtrip", "-"], _yoneda("2")),
-    "yoneda_float_size": (["yoneda", "roundtrip", "-"], _yoneda(2.5)),
-    "yoneda_boolean_size": (["yoneda", "roundtrip", "-"], _yoneda(True)),
     "huge_exponent_weight": (["space", "liftings", "-"],
                              _doc({"kind": "measure_space", "weights": ["1e9999999", "1"]})),
     "huger_exponent_weight": (["space", "liftings", "-"],
                               _doc({"kind": "measure_space", "weights": ["1e999999999", "1"]})),
     "pm_float_entry": (["pm", "classify", "-"], _table("partial_magma")),
     "twin_float_entry": (["cat", "twin", "-"], _table("category")),
-    "natequiv_list_source": (["cat", "natequiv", "-"],
-                             _doc({"kind": "scenario", "name": "natequiv",
-                                   "source": ["x"], "target": "3"})),
     "pm_boolean_n": (["pm", "classify", "-"],
                      _doc({"kind": "partial_magma", "n": True, "table": [[0]]})),
     "over_long_json_integer": (["space", "liftings", "-"],
                                '{"kind": "measure_space", "weights": [1%s]}' % ("0" * 5000)),
     "deeply_nested_json": (["space", "liftings", "-"], "[" * 100_000 + "]" * 100_000),
+}
+
+_NATEQUIV = (["cat", "natequiv"], ["--source", "2", "--target", "3"])
+_YONEDA = (["yoneda", "roundtrip"], ["--z-size", "2", "--x-size", "1"])
+
+
+def _scenario(name, **fields) -> dict:
+    return {"kind": "scenario", "name": name, **fields}
+
+
+#: (command, valid flags, document): documents that ``cat natequiv`` and
+#: ``yoneda roundtrip`` once read in place of their flags, four of them bad
+#: input that once escaped the boundary.  Both commands take flags only, so
+#: a path is a usage error.
+SCENARIO_DOCUMENTS = {
+    "natequiv_2_3": (*_NATEQUIV, _scenario("natequiv", source="2", target="3")),
+    "natequiv_list_source": (*_NATEQUIV, _scenario("natequiv", source=["x"], target="3")),
+    "yoneda_3_1": (*_YONEDA, _scenario("yoneda", z_size=3, x_size=1)),
+    "yoneda_string_size": (*_YONEDA, _scenario("yoneda", z_size="2", x_size=1)),
+    "yoneda_float_size": (*_YONEDA, _scenario("yoneda", z_size=2.5, x_size=1)),
+    "yoneda_boolean_size": (*_YONEDA, _scenario("yoneda", z_size=True, x_size=1)),
 }
 
 
@@ -180,7 +191,12 @@ class TestExceptionBoundary:
 
     @pytest.mark.parametrize("args, message", [
         (["report", "--format", "xml"], "'--format': 'xml' is not one of 'json', 'text'."),
-        (["yoneda", "roundtrip", "--z-size", "abc"], "'--z-size': 'abc' is not a valid integer."),
+        (["yoneda", "roundtrip", "--z-size", "abc"],
+         "'--z-size': 'abc' is not a valid integer range."),
+        (["yoneda", "roundtrip", "--z-size", "1", "--x-size", "0"],
+         "'--x-size': 0 is not in the range 1<=x<=3."),
+        (["cat", "natequiv", "--source", "nope", "--target", "3"],
+         "'--source': 'nope' is not one of '1', '2', '3', 'II', 'SQ'."),
         (["space", "check", "-", "--max-atoms", "0"], "'--max-atoms': 0 is not in the range x>=1."),
         (["space", "liftings", "-", "--max-atoms", "-5"],
          "'--max-atoms': -5 is not in the range x>=1."),
@@ -190,13 +206,33 @@ class TestExceptionBoundary:
         (["pm", "interchange", "-", "--max-elems", "-1"],
          "'--max-elems': -1 is not in the range x>=1."),
         (["cat", "twin", "-", "--max-elems", "0"], "'--max-elems': 0 is not in the range x>=1."),
-    ], ids=["format_xml", "z_size_abc", "check_max_atoms_zero",
+    ], ids=["format_xml", "z_size_abc", "x_size_0", "source_nope",
+            "check_max_atoms_zero",
             "liftings_max_atoms_negative", "theorem1_max_atoms_negative",
             "classify_max_elems_zero", "interchange_max_elems_negative", "twin_max_elems_zero"])
     def test_usage_error_exits_2_with_one_line(self, runner, args, message):
         result = runner.invoke(main, args)
         assert result.exit_code == 2
         assert result.stderr == f"input error: Invalid value for {message}\n"
+        assert result.stdout == ""
+
+    def test_a_missing_choice_option_is_one_line_without_tabs(self, runner):
+        result = runner.invoke(main, ["cat", "natequiv", "--source", "2"])
+        assert result.exit_code == 2
+        assert result.stderr == ("input error: Missing option '--target'. "
+                                 "Choose from: 1, 2, 3, II, SQ\n")
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("case", sorted(SCENARIO_DOCUMENTS))
+    @pytest.mark.parametrize("with_flags", [False, True], ids=["alone", "after_flags"])
+    def test_a_document_path_is_a_usage_error(self, runner, tmp_path, case, with_flags):
+        command, flags, doc = SCENARIO_DOCUMENTS[case]
+        path = write(tmp_path, "scenario.json", doc)
+        result = runner.invoke(main, [*command, *(flags if with_flags else []), path])
+        assert result.exit_code == 2
+        first = "Got unexpected extra argument" if with_flags else "Missing option"
+        assert result.stderr.startswith(f"input error: {first}")
+        assert result.stderr.count("\n") == 1
         assert result.stdout == ""
 
     @pytest.mark.parametrize("args", [["--help"], ["report", "--help"],
@@ -217,8 +253,8 @@ class TestExceptionBoundary:
         result = runner.invoke(main, ["yoneda", "roundtrip", "--z-size", "5",
                                       "--x-size", "1"])
         assert result.exit_code == 2
-        assert result.stderr == ("input error: sizes out of the supported range "
-                                 "(z <= 4, x <= 3)\n")
+        assert result.stderr == ("input error: Invalid value for '--z-size': "
+                                 "5 is not in the range 1<=x<=4.\n")
         assert result.stdout == ""
 
     def test_a_bug_is_not_passed_off_as_bad_input(self, runner, monkeypatch):
@@ -378,20 +414,12 @@ def _magma_doc(n):
                                   "table": st.lists(row, min_size=n, max_size=n)})
 
 
-_NAME = st.sampled_from(["1", "2", "II", "SQ", "nope"])
 _CASES = [
     (["space", "check"], ["space", "liftings"], ["space", "theorem1"],
      st.lists(st.sampled_from(["0", "1", "2", "1/2", "0.25"]), min_size=1, max_size=4)
      .flatmap(_space_doc)),
     (["pm", "classify"], ["pm", "interchange"], ["cat", "twin"],
      st.integers(1, 3).flatmap(_magma_doc)),
-    (["cat", "natequiv"],
-     st.fixed_dictionaries({"kind": st.just("scenario"), "name": st.just("natequiv"),
-                            "source": _NAME, "target": _NAME})),
-    (["yoneda", "roundtrip"],
-     st.fixed_dictionaries({"kind": st.just("scenario"), "name": st.just("yoneda"),
-                            "z_size": st.sampled_from([1, 2, 3, 5]),
-                            "x_size": st.sampled_from([1, 2, 3, 4])})),
 ]
 _ANY_DOCUMENT = st.one_of(*(st.tuples(st.sampled_from(case[:-1]),
                                       st.one_of(case[-1].flatmap(_corrupt), _JUNK))
@@ -587,13 +615,6 @@ class TestCatCommands:
         report = json.loads(result.stdout)
         assert report["arrow_indexed"] == report["object_indexed"] == 20
 
-    def test_natequiv_scenario_document(self, runner, tmp_path):
-        doc = write(tmp_path, "scenario.json", {
-            "kind": "scenario", "name": "natequiv",
-            "source": "2", "target": "3"})
-        result = runner.invoke(main, ["cat", "natequiv", doc])
-        assert result.exit_code == 0
-
     def test_natequiv_unknown_category(self, runner):
         result = runner.invoke(main, ["cat", "natequiv", "--source", "2",
                                       "--target", "nope"])
@@ -629,12 +650,6 @@ class TestYonedaCommand:
         assert result.exit_code == 0
         report = json.loads(result.stdout)
         assert report["candidate_count"] == 64 and report["all_pass"] is True
-
-    def test_roundtrip_scenario(self, runner, tmp_path):
-        doc = write(tmp_path, "scenario.json", {
-            "kind": "scenario", "name": "yoneda", "z_size": 3, "x_size": 1})
-        result = runner.invoke(main, ["yoneda", "roundtrip", doc])
-        assert result.exit_code == 0
 
     def test_requires_sizes(self, runner):
         result = runner.invoke(main, ["yoneda", "roundtrip"])

@@ -321,14 +321,18 @@ class TestOracles:
             assert brute == sorted(t.table for t in enumerate_liftings(sp))
 
     def test_sampled_oracle_on_s2(self, s2):
-        assert sampled_lifting_oracle(s2, samples=800, seed=3)
+        assert sampled_lifting_oracle(s2, enumerate_liftings(s2), samples=800, seed=3)
 
-    def test_sampled_oracle_enumerates_once(self, s2, monkeypatch):
-        calls = []
-        monkeypatch.setattr(ma, "enumerate_liftings",
-                            lambda sp: calls.append(sp) or enumerate_liftings(sp))
-        assert sampled_lifting_oracle(s2, samples=20, seed=1)
-        assert calls == [s2]
+    def test_sampled_oracle_reads_the_given_liftings(self, s2, monkeypatch):
+        liftings = enumerate_liftings(s2)
+        monkeypatch.setattr(ma, "enumerate_liftings", lambda sp: pytest.fail("enumerated"))
+        assert sampled_lifting_oracle(s2, liftings, samples=20, seed=1)
+
+    def test_sampled_oracle_fails_on_a_listed_non_lifting(self, s2):
+        zero = SetTransform(s2, (0,) * (s2.full_mask + 1))
+        v = sampled_lifting_oracle(s2, [zero], samples=20, seed=1)
+        assert not v and v.witness == zero.table
+        assert v.reason == "enumerated transform fails the predicate"
 
     def test_brute_force_guard(self, s2):
         with pytest.raises(ValueError, match="too many"):

@@ -8,11 +8,11 @@ arrow-indexed (a homomorphism into twin arrows under horizontal
 multiplication) or object-indexed (classical components).  Both encodings
 are kept as distinct types with explicit converters, because their
 equivalence is one of the statements under test.  Functors and
-arrow-indexed transformations come from one homomorphism search,
-``_homomorphisms``; components come from their literal definition.  The
-twin squares between two arrows are searched once per category
-(``twin_hom_cases``), and derived categories are tabulated by
-``partial_magma.product_pm``."""
+arrow-indexed transformations are homomorphisms, found by
+``partial_magma.search`` (as regular magmas are); components come from
+their literal definition.  The twin squares between two arrows are
+searched once per category (``twin_hom_cases``), and derived categories
+are tabulated by ``partial_magma.product_pm``."""
 
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 from itertools import product
 
 from .partial_magma import (PartialMagma, classify, hmul, matrix_magma,
-                            nat_subtraction_magma, product_pm, vmul)
+                            nat_subtraction_magma, product_pm, search, vmul)
 from .verdict import ENUMERATION_CAP, CapacityError, InternalCheckError, Verdict
 
 
@@ -181,25 +181,12 @@ class Functor:
 
 def _homomorphisms(c: FiniteCategory, candidates, mul) -> list[tuple]:
     """Every arrow map sending each arrow x of ``c`` into ``candidates[x]``
-    and each product p∘q = r to values with mul(image p, image q) = image r.
-    Arrows are assigned in index order and each product is checked once its
-    largest member has a value, so a branch is cut at the first product it
-    breaks.  The maps come in the order of the product of the candidates."""
+    and each product p∘q = r to values with mul(image p, image q) = image r,
+    in the order of the product of the candidates.  ``search`` checks each
+    product once its largest member has a value."""
     checks = c.products
-    image = [None] * c.pm.n
-    out = []
-
-    def extend(x: int):
-        if x == len(image):
-            out.append(tuple(image))
-            return
-        for y in candidates[x]:
-            image[x] = y
-            if all(mul(image[p], image[q]) == image[r] for p, q, r in checks[x]):
-                extend(x + 1)
-
-    extend(0)
-    return out
+    return search(candidates, lambda image, x: all(
+        mul(image[p], image[q]) == image[r] for p, q, r in checks[x]))
 
 
 def enumerate_functors(c: FiniteCategory, d: FiniteCategory) -> tuple[Functor, ...]:

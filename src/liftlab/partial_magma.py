@@ -8,7 +8,8 @@ elements carry two extra partial products: horizontal multiplication
 (middle-erasing) and vertical (componentwise) multiplication, related by
 the interchange law.  A magma built from other structures (pairs under
 either product here, twin arrows and transformations in
-``category_kernel``) is tabulated by one constructor, ``product_pm``.
+``category_kernel``) is tabulated by one constructor, ``product_pm``;
+regular magmas, functors and transformations come from one ``search``.
 """
 
 from __future__ import annotations
@@ -65,6 +66,25 @@ def product_pm(elements: Sequence, mul) -> PartialMagma:
 
     table = tuple(tuple(entry(a, b) for b in elements) for a in elements)
     return PartialMagma(len(elements), table)
+
+
+def search(candidates: Sequence[Sequence], accept) -> list[tuple]:
+    """Every tuple of the product of ``candidates``, in product order, for
+    which ``accept(values, i)`` holds each time variable i is set, with
+    ``values[:i + 1]`` set: depth first, so a branch is cut at its first rejection."""
+    values, out = [None] * len(candidates), []
+
+    def extend(i: int):
+        if i == len(values):
+            out.append(tuple(values))
+            return
+        for v in candidates[i]:
+            values[i] = v
+            if accept(values, i):
+                extend(i + 1)
+
+    extend(0)
+    return out
 
 
 def units(pm: PartialMagma) -> tuple[int, ...]:
@@ -430,11 +450,13 @@ def regular_builds(n: int) -> tuple[RegularBuild, ...]:
     cell (i, j) is the digit of weight (n+1)^(i*n+j), undefined the digit 0
     and element v the digit v+1.
 
-    Each candidate is built as a category: a nonempty set of units, a
-    (dom, cod) pair of units for every other element, and for each x, y
-    with dom x = cod y the product y if x is a unit, x if y is one, and
-    otherwise any element of hom(dom y, cod x); every other product is
-    undefined.  ``classify`` keeps the regular candidates.
+    Each is built as a category: a nonempty set of units, a (dom, cod) pair
+    of units for every other element, and for each x, y with dom x = cod y
+    the product y if x is a unit, x if y is one, and otherwise any element
+    of hom(dom y, cod x); every other product is undefined.  ``search``
+    keeps the tables with (x.y).z = x.(y.z) on the composable triples of
+    non-units, checked once the four cells read are set: by the pin lemma,
+    the regular ones, which ``classify`` confirms.
     """
     found = []
     for k in range(1, n + 1):
@@ -442,20 +464,21 @@ def regular_builds(n: int) -> tuple[RegularBuild, ...]:
             others = [x for x in range(n) if x not in us]
             for pins in product(product(us, repeat=2), repeat=len(others)):
                 pin = {u: (u, u) for u in us} | dict(zip(others, pins))
-                cells = []
-                for x, y in product(range(n), repeat=2):
-                    if pin[x][0] != pin[y][1]:
-                        cells.append([None])
-                    elif x in us or y in us:
-                        cells.append([y if x in us else x])
-                    else:  # hom(dom y, cod x)
-                        cells.append([z for z in range(n)
-                                      if pin[z] == (pin[y][0], pin[x][1])])
-                for flat in product(*cells):
+                cells = [[None] if pin[x][0] != pin[y][1]
+                         else [y if x in us else x] if x in us or y in us
+                         else [z for z in range(n) if pin[z] == (pin[y][0], pin[x][1])]
+                         for x, y in product(range(n), repeat=2)]
+                triples = [[] for _ in cells]
+                for x, y, z in product(others, repeat=3):
+                    if pin[x][0] == pin[y][1] and pin[y][0] == pin[z][1]:
+                        triples[max(x * n + n - 1, (n - 1) * n + z)].append((x, y, z))
+                for flat in search(cells, lambda t, i: all(
+                        t[t[x * n + y] * n + z] == t[x * n + t[y * n + z]]
+                        for x, y, z in triples[i])):
                     pm = PartialMagma(n, tuple(flat[i:i + n] for i in range(0, n * n, n)))
-                    if classify(pm).regular:
-                        found.append(RegularBuild(pm, us,
-                                                  tuple(pin[x] for x in range(n))))
+                    if not classify(pm).regular:
+                        raise InternalCheckError(f"search kept a nonregular table {pm.table}")
+                    found.append(RegularBuild(pm, us, tuple(pin[x] for x in range(n))))
     # the digits, most significant first
     return tuple(sorted(found, key=lambda b: [-1 if v is None else v
                                               for row in b.pm.table[::-1]

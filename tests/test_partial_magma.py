@@ -1,18 +1,21 @@
 import random
-from itertools import product
-
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
 from liftlab import partial_magma
 from liftlab.category_kernel import FiniteCategory
-from liftlab.partial_magma import (PartialMagma, SweepReport, build_pm, classify,
-                                   hmul, index_pair, interchange_check,
+from liftlab.cli import main
+from liftlab.partial_magma import (PartialMagma, RegularBuild, SweepReport, build_pm,
+                                   classify, hmul, index_pair, interchange_check,
                                    interchange_sweep, matrix_magma,
-                                   nat_subtraction_magma, pair_index,
-                                   product_pm, regular_tables, single_unit_totality,
-                                   square_pm, twin_pm, units, vmul)
+                                   nat_subtraction_magma, pair_index, product_pm,
+                                   regular_builds, regular_tables, search,
+                                   single_unit_totality, square_pm, twin_pm, units,
+                                   vmul)
 from liftlab.suite import run_check
 from liftlab.verdict import InternalCheckError, Verdict
 
@@ -126,6 +129,35 @@ def regular_tables_oracle(n):
     idx, tables = unital_table_indices(n)
     pms = (pm_from_row(n, row) for row in tables[idx])
     return tuple(pm for pm in pms if classify(pm).regular)
+
+
+def regular_builds_oracle(n):
+    """Generate, then classify: every choice of units, pins and composites
+    as ``regular_builds`` makes them, each table kept when ``classify`` finds
+    it regular, in ``regular_builds``'s order."""
+    found = []
+    for k in range(1, n + 1):
+        for us in combinations(range(n), k):
+            others = [x for x in range(n) if x not in us]
+            for pins in product(product(us, repeat=2), repeat=len(others)):
+                pin = {u: (u, u) for u in us} | dict(zip(others, pins))
+                cells = []
+                for x, y in product(range(n), repeat=2):
+                    if pin[x][0] != pin[y][1]:
+                        cells.append([None])
+                    elif x in us or y in us:
+                        cells.append([y if x in us else x])
+                    else:  # hom(dom y, cod x)
+                        cells.append([z for z in range(n)
+                                      if pin[z] == (pin[y][0], pin[x][1])])
+                for flat in product(*cells):
+                    pm = PartialMagma(n, tuple(flat[i:i + n] for i in range(0, n * n, n)))
+                    if classify(pm).regular:
+                        found.append(RegularBuild(pm, us,
+                                                  tuple(pin[x] for x in range(n))))
+    return tuple(sorted(found, key=lambda b: [-1 if v is None else v
+                                              for row in b.pm.table[::-1]
+                                              for v in row[::-1]]))
 
 
 def is_pm_hom(f, source: PartialMagma, target: PartialMagma,
@@ -801,6 +833,75 @@ class TestSweepInfrastructure:
     def test_regular_tables_match_the_brute_force_oracle(self, n):
         # the same magmas in the same (all_tables_array) order
         assert regular_tables(n) == regular_tables_oracle(n)
+
+
+def _kept(salt, prefix) -> bool:
+    """A fixed pseudo-random verdict on each prefix."""
+    return random.Random(repr((salt, prefix))).random() < 0.7
+
+
+class TestSearch:
+    @given(st.lists(st.lists(st.integers(0, 3), max_size=3), max_size=5),
+           st.integers(0, 1000))
+    @settings(max_examples=200, deadline=None)
+    def test_search_is_the_product_filtered_by_every_prefix(self, candidates, salt):
+        seen = []
+
+        def accept(values, i):
+            seen.append(tuple(values[:i + 1]))
+            return _kept(salt, tuple(values[:i + 1]))
+
+        assert search(candidates, accept) == [
+            v for v in product(*candidates)
+            if all(_kept(salt, v[:i + 1]) for i in range(len(v)))]
+        # accept sees each prefix whose shorter prefixes were accepted, set
+        # from the candidates, once per way of reaching it
+        reached = Counter(p for k in range(1, len(candidates) + 1)
+                          for p in product(*candidates[:k])
+                          if all(_kept(salt, p[:i + 1]) for i in range(k - 1)))
+        assert Counter(seen) == reached
+
+    def test_no_variables_and_an_empty_candidate_list(self):
+        assert search([], lambda values, i: False) == [()]
+        assert search([[0, 1], []], lambda values, i: True) == []
+
+
+@pytest.fixture
+def fresh_regular_builds():
+    """No build made under a fault stays in the cache."""
+    regular_builds.cache_clear()
+    regular_tables.cache_clear()
+    yield
+    regular_builds.cache_clear()
+    regular_tables.cache_clear()
+
+
+class TestRegularBuilds:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_search_matches_generate_then_classify(self, n):
+        # the same magmas, units and pins, in the same order
+        assert regular_builds(n) == regular_builds_oracle(n)
+
+    def test_four_elements(self):
+        builds = regular_builds(4)
+        assert len(builds) == 973
+        for b in builds:
+            c = classify(b.pm)
+            assert c.regular and (c.units, c.pins) == (b.units, b.pins)
+
+    def test_a_search_that_ignores_associativity_is_an_internal_error(
+            self, monkeypatch, fresh_regular_builds):
+        real = partial_magma.search
+        monkeypatch.setattr(partial_magma, "search",
+                            lambda candidates, accept: real(candidates, lambda v, i: True))
+        with pytest.raises(InternalCheckError, match="search kept a nonregular table"):
+            regular_builds(3)
+        regular_builds.cache_clear()
+        result = CliRunner().invoke(main, ["report"])
+        assert result.exit_code == 3
+        assert result.stderr.startswith("internal error: search kept a nonregular table")
+        assert result.stderr.count("\n") == 1
+        assert result.stdout == ""
 
 
 @given(st.integers(min_value=1, max_value=3), st.data())

@@ -9,10 +9,10 @@ multiplication) or object-indexed (classical components).  Both encodings
 are kept as distinct types with explicit converters, because their
 equivalence is one of the statements under test.  Functors and
 arrow-indexed transformations are homomorphisms, found by
-``partial_magma.search`` (as regular magmas are); components come from
-their literal definition.  The twin squares between two arrows are
-searched once per category (``twin_hom_cases``), and derived categories
-are tabulated by ``partial_magma.product_pm``."""
+``partial_magma.search`` with a check that forces nothing; components
+come from their literal definition.  The twin squares between two arrows
+are searched once per category (``twin_hom_cases``), and derived
+categories are tabulated by ``partial_magma.product_pm``."""
 
 from __future__ import annotations
 
@@ -183,10 +183,10 @@ def _homomorphisms(c: FiniteCategory, candidates, mul) -> list[tuple]:
     """Every arrow map sending each arrow x of ``c`` into ``candidates[x]``
     and each product p∘q = r to values with mul(image p, image q) = image r,
     in the order of the product of the candidates.  ``search`` checks each
-    product once its largest member has a value."""
+    product once its largest member has a value, and forces nothing."""
     checks = c.products
-    return search(candidates, lambda image, x: all(
-        mul(image[p], image[q]) == image[r] for p, q, r in checks[x]))
+    return search(candidates, lambda image, x: () if all(
+        mul(image[p], image[q]) == image[r] for p, q, r in checks[x]) else None)[0]
 
 
 def enumerate_functors(c: FiniteCategory, d: FiniteCategory) -> tuple[Functor, ...]:

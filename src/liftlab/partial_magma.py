@@ -6,10 +6,10 @@ associativity, fastening, regularity, and a regular magma's pins) are
 evaluated exhaustively and failures carry minimal witnesses.  Pairs of
 elements carry two extra partial products: horizontal multiplication
 (middle-erasing) and vertical (componentwise) multiplication, related by
-the interchange law.  A magma built from other structures (pairs under
-either product here, twin arrows and transformations in
-``category_kernel``) is tabulated by one constructor, ``product_pm``;
-regular magmas, functors and transformations come from one ``search``.
+the interchange law.  One constructor, ``product_pm``, tabulates each
+magma built from other structures (pairs under either product here, twin
+arrows and transformations in ``category_kernel``); one ``search`` finds
+regular magmas, functors, transformations and Yoneda candidates.
 """
 
 from __future__ import annotations
@@ -68,23 +68,42 @@ def product_pm(elements: Sequence, mul) -> PartialMagma:
     return PartialMagma(len(elements), table)
 
 
-def search(candidates: Sequence[Sequence], accept) -> list[tuple]:
-    """Every tuple of the product of ``candidates``, in product order, for
-    which ``accept(values, i)`` holds each time variable i is set, with
-    ``values[:i + 1]`` set: depth first, so a branch is cut at its first rejection."""
-    values, out = [None] * len(candidates), []
+def search(domains: Sequence[Sequence], propagate, order=None) -> tuple[list[tuple], int]:
+    """Depth first, the assignments of ``domains`` that survive propagation,
+    and the count of values tried (nodes).  It branches on the first unset
+    (None) variable i of ``order`` (default: every variable, by index), and
+    ``propagate(values, i)`` gives the pairs (j, w) a value forces, or None
+    to reject it.  A forced w outside ``domains[j]`` or unlike a set value
+    is a clash.  Forced pairs are not propagated again; only they set a
+    variable outside ``order``.  Unforced, solutions come in product order."""
+    order = range(len(domains)) if order is None else order
+    values, out = [None] * len(domains), []
 
-    def extend(i: int):
-        if i == len(values):
+    def extend(k: int) -> int:
+        while k < len(order) and values[order[k]] is not None:
+            k += 1
+        if k == len(order):
             out.append(tuple(values))
-            return
-        for v in candidates[i]:
+            return 0
+        i = order[k]
+        nodes = len(domains[i])
+        for v in domains[i]:
             values[i] = v
-            if accept(values, i):
-                extend(i + 1)
+            forced, done = propagate(values, i), [i]
+            for j, w in forced or ():
+                if values[j] is None and w in domains[j]:
+                    values[j] = w
+                    done.append(j)
+                elif values[j] != w:
+                    break
+            else:
+                if forced is not None:
+                    nodes += extend(k + 1)
+            for j in done:
+                values[j] = None
+        return nodes
 
-    extend(0)
-    return out
+    return out, extend(0)
 
 
 def units(pm: PartialMagma) -> tuple[int, ...]:
@@ -454,9 +473,9 @@ def regular_builds(n: int) -> tuple[RegularBuild, ...]:
     of units for every other element, and for each x, y with dom x = cod y
     the product y if x is a unit, x if y is one, and otherwise any element
     of hom(dom y, cod x); every other product is undefined.  ``search``
-    keeps the tables with (x.y).z = x.(y.z) on the composable triples of
-    non-units, checked once the four cells read are set: by the pin lemma,
-    the regular ones, which ``classify`` confirms.
+    sets the defined cells, and on each composable triple of non-units
+    compares (x.y).z with x.(y.z) or forces the unset side, to a fixed
+    point: by the pin lemma, the regular tables, which ``classify`` confirms.
     """
     found = []
     for k in range(1, n + 1):
@@ -464,17 +483,31 @@ def regular_builds(n: int) -> tuple[RegularBuild, ...]:
             others = [x for x in range(n) if x not in us]
             for pins in product(product(us, repeat=2), repeat=len(others)):
                 pin = {u: (u, u) for u in us} | dict(zip(others, pins))
-                cells = [[None] if pin[x][0] != pin[y][1]
-                         else [y if x in us else x] if x in us or y in us
+                cells = {x * n + y: [y if x in us else x] if x in us or y in us
                          else [z for z in range(n) if pin[z] == (pin[y][0], pin[x][1])]
-                         for x, y in product(range(n), repeat=2)]
-                triples = [[] for _ in cells]
+                         for x, y in product(range(n), repeat=2) if pin[x][0] == pin[y][1]}
+                watch = [[] for _ in range(n * n)]  # the triples each cell can be read by
                 for x, y, z in product(others, repeat=3):
                     if pin[x][0] == pin[y][1] and pin[y][0] == pin[z][1]:
-                        triples[max(x * n + n - 1, (n - 1) * n + z)].append((x, y, z))
-                for flat in search(cells, lambda t, i: all(
-                        t[t[x * n + y] * n + z] == t[x * n + t[y * n + z]]
-                        for x, y, z in triples[i])):
+                        for c in {x * n + y, y * n + z, *(a * n + z for a in cells[x * n + y]),
+                                  *(x * n + b for b in cells[y * n + z])}:
+                            watch[c].append((x * n + y, y * n + z, x * n, z))
+
+                def associate(t, i):
+                    t, queue = list(t), [i]
+                    for c in queue:  # grows as cells are forced
+                        for p, q, xn, z in watch[c]:
+                            if t[p] is not None and t[q] is not None:
+                                left, right = t[p] * n + z, xn + t[q]
+                                for a, b in ((left, right), (right, left)):
+                                    if t[a] is None and t[b] is not None:
+                                        t[a] = t[b]
+                                        queue.append(a)
+                                if t[left] != t[right]:
+                                    return None
+                    return [(c, t[c]) for c in queue[1:]]
+                domains = [cells.get(c, ()) for c in range(n * n)]
+                for flat in search(domains, associate, list(cells))[0]:
                     pm = PartialMagma(n, tuple(flat[i:i + n] for i in range(0, n * n, n)))
                     if not classify(pm).regular:
                         raise InternalCheckError(f"search kept a nonregular table {pm.table}")

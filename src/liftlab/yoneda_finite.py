@@ -3,9 +3,9 @@
 For a fixed ground Z and point set X, a candidate assigns to every probe
 space D a map from functions Z -> D to functions X -> D.  The candidates
 that are natural in D correspond exactly to pointwise-ultrafilter kernels
-on Z.  The natural candidates are found by one search that uses only the
-naturality squares: each entry it sets forces the entries its probe maps
-reach, and every complete assignment is checked by ``is_natural``.
+on Z.  ``partial_magma.search`` finds the natural candidates from the
+naturality squares alone: each entry it sets forces the entries its
+probe maps reach, and ``is_natural`` confirms every complete assignment.
 
 Naturality is decided by a generator lemma.  The squares of a composite
 follow from those of its factors, so a candidate is natural for every map
@@ -23,12 +23,13 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import cache, lru_cache
-from itertools import product
+from itertools import accumulate, product
 from operator import itemgetter
 
 from .filter_calculus import (Filter, direct_image, is_ultrafilter,
                               limit_along, principal_ultrafilter)
 from .measure_space import bits
+from .partial_magma import search
 from .verdict import InternalCheckError, Verdict
 
 
@@ -259,52 +260,28 @@ def enumerate_natural(z_ground, x_count: int,
                       probes: ProbeFamily) -> tuple[list[TauCandidate], int]:
     """All natural candidates, and the number of search nodes visited.
 
-    A depth-first search over the entries ``rows[s][i]``, in
-    ``_search_order``.  A node sets one entry to one value, which forces,
-    through each probe map phi: s -> t (the identity included), the entry
-    at phi∘(input i) to phi∘(the value); the first clash cuts the branch.
-    The probe maps are closed under composition, so an entry forced here
-    would force nothing new in turn: one pass over the maps propagates
-    everything.  A complete assignment is kept only if ``is_natural``
-    holds.
+    One ``search`` over the entries ``rows[s][i]``, end to end by size, in
+    ``_search_order``.  Setting an entry forces, through each probe map
+    phi: s -> t, the entry at phi∘(input i) to phi∘(the value).  The maps
+    are closed under composition, so one pass is the fixed point, and a
+    complete assignment that fails ``is_natural`` is an internal error.
     """
     z_ground = tuple(z_ground)
     z_len = len(z_ground)
     sizes = probes.sizes
     maps = _forcings(z_len, x_count, sizes)
-    order = _search_order(z_len, sizes)
-    candidates = []
-    nodes = 0
-
-    def force(rows, unset, s, i, v):
-        """Set what ``rows[s][i] = v`` forces; how many entries are left
-        unset, or None on a clash."""
-        for t, on_z, on_x in maps[s]:
-            row, j, w = rows[t], on_z[i], on_x[v]
-            if row[j] is None:
-                row[j] = w
-                unset -= 1
-            elif row[j] != w:
-                return None
-        return unset
-
-    def search(rows, unset):
-        nonlocal nodes
-        if not unset:
-            tau = TauCandidate(z_ground, x_count, probes,
-                               {s: tuple(row) for s, row in rows.items()})
-            if is_natural(tau):
-                candidates.append(tau)
-            return
-        s, i = next((s, i) for s, i in order if rows[s][i] is None)
-        for v in range(s ** x_count):
-            nodes += 1
-            trial = {t: list(row) for t, row in rows.items()}
-            left = force(trial, unset, s, i, v)
-            if left is not None:
-                search(trial, left)
-
-    search({s: [None] * s ** z_len for s in sizes}, sum(s ** z_len for s in sizes))
+    start = dict(zip(sizes, accumulate((s ** z_len for s in sizes), initial=0)))
+    entries = [(s, i) for s in sizes for i in range(s ** z_len)]
+    solutions, nodes = search(
+        [range(s ** x_count) for s, _ in entries],
+        lambda values, k: [(start[t] + on_z[entries[k][1]], on_x[values[k]])
+                           for t, on_z, on_x in maps[entries[k][0]]],
+        [start[s] + i for s, i in _search_order(z_len, sizes)])
+    candidates = [TauCandidate(z_ground, x_count, probes,
+                               {s: flat[start[s]:start[s] + s ** z_len] for s in sizes})
+                  for flat in solutions]
+    if not all(map(is_natural, candidates)):
+        raise InternalCheckError("the search kept a candidate that is not natural")
     return candidates, nodes
 
 

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations, permutations, product
+from math import factorial
 
 import pytest
 from click.testing import CliRunner
@@ -840,30 +841,122 @@ def _kept(salt, prefix) -> bool:
     return random.Random(repr((salt, prefix))).random() < 0.7
 
 
+def _checking(constraints):
+    """Each constraint (a, b, f) asks values[b] == f[values[a]]; checked
+    once both are set, forcing nothing."""
+    def propagate(values, i):
+        return () if all(values[a] is None or values[b] is None or f[values[a]] == values[b]
+                         for a, b, f in constraints if i in (a, b)) else None
+    return propagate
+
+
+def _forcing(constraints):
+    """The same constraints, each forcing values[b] once values[a] is set,
+    on to a fixed point."""
+    def propagate(values, i):
+        got, queue = {}, [i]
+        while queue:
+            j = queue.pop()
+            for a, b, f in constraints:
+                va, vb = (got.get(k, values[k]) for k in (a, b))
+                if j not in (a, b) or va is None:
+                    continue
+                if vb is None:
+                    got[b] = f[va]
+                    queue.append(b)
+                elif f[va] != vb:
+                    return None
+        return got.items()
+    return propagate
+
+
+_domains = st.lists(st.lists(st.integers(0, 3), unique=True, max_size=3), max_size=5)
+
+
+@st.composite
+def _constrained(draw):
+    """Domains and functional constraints between their variables."""
+    domains = draw(_domains)
+    k = len(domains)
+    constraints = draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1),
+                                          st.lists(st.integers(0, 3), min_size=4,
+                                                   max_size=4)),
+                                max_size=4)) if k else []
+    return domains, [(a, b, f) for a, b, f in constraints if a != b]
+
+
+def _satisfying(domains, constraints):
+    return [v for v in product(*domains) if all(f[v[a]] == v[b] for a, b, f in constraints)]
+
+
+class _Outside(list):
+    """A domain whose membership test is inverted; iterating it still gives
+    its values."""
+
+    def __contains__(self, value):
+        return not list.__contains__(self, value)
+
+
 class TestSearch:
     @given(st.lists(st.lists(st.integers(0, 3), max_size=3), max_size=5),
            st.integers(0, 1000))
     @settings(max_examples=200, deadline=None)
-    def test_search_is_the_product_filtered_by_every_prefix(self, candidates, salt):
+    def test_search_is_the_product_filtered_by_every_prefix(self, domains, salt):
         seen = []
 
-        def accept(values, i):
+        def propagate(values, i):
             seen.append(tuple(values[:i + 1]))
-            return _kept(salt, tuple(values[:i + 1]))
+            return () if _kept(salt, tuple(values[:i + 1])) else None
 
-        assert search(candidates, accept) == [
-            v for v in product(*candidates)
+        solutions, nodes = search(domains, propagate)
+        assert solutions == [
+            v for v in product(*domains)
             if all(_kept(salt, v[:i + 1]) for i in range(len(v)))]
-        # accept sees each prefix whose shorter prefixes were accepted, set
-        # from the candidates, once per way of reaching it
-        reached = Counter(p for k in range(1, len(candidates) + 1)
-                          for p in product(*candidates[:k])
+        # propagate sees each prefix whose shorter prefixes were kept, set
+        # from the domains, once per way of reaching it, and each is a node
+        reached = Counter(p for k in range(1, len(domains) + 1)
+                          for p in product(*domains[:k])
                           if all(_kept(salt, p[:i + 1]) for i in range(k - 1)))
         assert Counter(seen) == reached
+        assert nodes == len(seen)
 
-    def test_no_variables_and_an_empty_candidate_list(self):
-        assert search([], lambda values, i: False) == [()]
-        assert search([[0, 1], []], lambda values, i: True) == []
+    def test_no_variables_and_an_empty_domain(self):
+        assert search([], lambda values, i: None) == ([()], 0)
+        assert search([[0, 1], []], lambda values, i: ()) == ([], 2)
+
+    @given(_constrained())
+    @settings(max_examples=200, deadline=None)
+    def test_forcing_finds_what_checking_finds_in_no_more_nodes(self, problem):
+        domains, constraints = problem
+        checked, checked_nodes = search(domains, _checking(constraints))
+        forced, forced_nodes = search(domains, _forcing(constraints))
+        assert forced == checked == _satisfying(domains, constraints)
+        assert forced_nodes <= checked_nodes
+
+    @given(_constrained(), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_a_permuted_order_finds_the_same_solutions(self, problem, rng):
+        domains, constraints = problem
+        order = list(range(len(domains)))
+        rng.shuffle(order)
+        for propagate in (_checking(constraints), _forcing(constraints)):
+            solutions, _ = search(domains, propagate, order)
+            assert sorted(solutions) == sorted(_satisfying(domains, constraints))
+
+    def test_a_forced_value_outside_its_domain_is_a_clash(self):
+        forces_two = lambda values, i: [(1, 2)] if i == 0 else ()
+        assert search([[0], [0, 1]], forces_two) == ([], 1)
+        assert search([[0], [0, 1, 2]], forces_two) == ([(0, 2)], 1)
+
+    def test_a_forced_value_unequal_to_a_set_one_is_a_clash(self):
+        # setting variable 1 to v forces variable 0 to v
+        forces_back = lambda values, i: [(0, values[1])] if i == 1 else ()
+        assert search([[0, 1], [1, 0]], forces_back) == ([(0, 0), (1, 1)], 6)
+
+    def test_a_variable_outside_the_order_is_set_only_by_forcing(self):
+        forces_last = lambda values, i: [(2, 5)] if values[0] else ()
+        assert search([[0, 1], [0], [5]], forces_last, [0, 1]) == (
+            [(0, 0, None), (1, 0, 5)], 4)
 
 
 @pytest.fixture
@@ -876,7 +969,35 @@ def fresh_regular_builds():
     regular_tables.cache_clear()
 
 
+def relabellings(pm: PartialMagma) -> list[tuple]:
+    """The table of ``pm`` under each bijection p of its elements, in
+    ``permutations`` order: p(x).p(y) = p(x.y)."""
+    n, out = pm.n, []
+    for p in permutations(range(n)):
+        table = [[None] * n for _ in range(n)]
+        for x, y in product(range(n), repeat=2):
+            v = pm.table[x][y]
+            table[p[x]][p[y]] = None if v is None else p[v]
+        out.append(tuple(map(tuple, table)))
+    return out
+
+
 class TestRegularBuilds:
+    @pytest.mark.parametrize("n,classes,labelled",
+                             [(1, 1, 1), (2, 3, 5), (3, 11, 52), (4, 55, 973)])
+    def test_the_classes_up_to_relabelling_are_the_categories(self, n, classes, labelled):
+        # OEIS A125696 counts the categories with n arrows up to
+        # isomorphism; a class stands for n!/|Aut| labelled tables, and the
+        # tables found are closed under relabelling
+        tables = {pm.table for pm in regular_tables(n)}
+        orbits = {}
+        for pm in regular_tables(n):
+            images = relabellings(pm)
+            assert tables.issuperset(images)
+            orbits[frozenset(images)] = factorial(n) // images.count(pm.table)
+        assert len(orbits) == classes
+        assert sum(orbits.values()) == labelled == len(tables)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_search_matches_generate_then_classify(self, n):
         # the same magmas, units and pins, in the same order
@@ -889,11 +1010,26 @@ class TestRegularBuilds:
             c = classify(b.pm)
             assert c.regular and (c.units, c.pins) == (b.units, b.pins)
 
-    def test_a_search_that_ignores_associativity_is_an_internal_error(
-            self, monkeypatch, fresh_regular_builds):
+    def test_a_unit_cell_forced_off_its_one_value_is_not_kept(self):
+        # without the search's domain check, propagation forces the cells
+        # (1, 2) and (2, 1) of the unit 1 off their one candidate, 2, and
+        # the search keeps this table
+        table = ((1, 0, 0), (0, 1, 1), (0, 1, 1))
+        assert not classify(PartialMagma(3, table)).regular
+        assert table not in [pm.table for pm in regular_tables(3)]
+
+    @pytest.mark.parametrize("fault", [
+        # a propagate that never rejects and forces nothing
+        lambda domains, propagate, order=None: (domains, lambda values, i: (), order),
+        # a search whose clash check is inverted: every forced value it
+        # should keep clashes, and every one outside its domain is set
+        lambda domains, propagate, order=None: ([_Outside(d) for d in domains],
+                                                propagate, order),
+    ], ids=["associativity ignored", "clash check inverted"])
+    def test_a_faulty_search_is_an_internal_error(self, monkeypatch, fresh_regular_builds,
+                                                   fault):
         real = partial_magma.search
-        monkeypatch.setattr(partial_magma, "search",
-                            lambda candidates, accept: real(candidates, lambda v, i: True))
+        monkeypatch.setattr(partial_magma, "search", lambda *a: real(*fault(*a)))
         with pytest.raises(InternalCheckError, match="search kept a nonregular table"):
             regular_builds(3)
         regular_builds.cache_clear()

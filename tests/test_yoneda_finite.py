@@ -3,9 +3,11 @@ from itertools import product
 from operator import itemgetter
 
 import pytest
+from click.testing import CliRunner
 
 import liftlab.yoneda_finite as yf
 
+from liftlab.cli import main
 from liftlab.filter_calculus import (Filter, is_ultrafilter, limit_along,
                                      principal_ultrafilter)
 from liftlab.lebesgue_diff import kernel_from_lifting, lower_density_from_kernel
@@ -481,7 +483,8 @@ class TestYonedaRoundtrip:
 
 class TestSearchFaults:
     """Each fault in the search or in what the report compares it with
-    fails ``yoneda_roundtrip`` at |Z| = 3."""
+    fails ``yoneda_roundtrip`` at |Z| = 3: a search that keeps a leaf that
+    is not natural raises ``InternalCheckError``."""
 
     @pytest.mark.parametrize("x_size", [1, 2])
     def test_one_forced_value_off_by_one(self, monkeypatch, x_size):
@@ -496,13 +499,14 @@ class TestSearchFaults:
             return maps
 
         monkeypatch.setattr(yf, "_forcings", off_by_one)
-        report = yoneda_roundtrip(3, x_size)
-        assert report.candidate_count == 3 ** x_size - 1
-        assert report.bijection_ok is False
-        assert not report.all_pass
+        # a clash-free leaf under the wrong forcing breaks a square
+        with pytest.raises(InternalCheckError, match="not natural"):
+            yoneda_roundtrip(3, x_size)
 
     @pytest.mark.parametrize("x_size", [1, 2])
     def test_is_natural_rejecting_one_valid_candidate(self, monkeypatch, x_size):
+        # a complete clash-free assignment satisfies every square, so a
+        # leaf that is_natural rejects is an internal error, not a count
         original = yf.is_natural
         calls = []
 
@@ -513,11 +517,16 @@ class TestSearchFaults:
             return original(tau)
 
         monkeypatch.setattr(yf, "is_natural", rejects_the_first)
-        report = yoneda_roundtrip(3, x_size)
+        with pytest.raises(InternalCheckError, match="not natural"):
+            yoneda_roundtrip(3, x_size)
         assert original(calls[0])
-        assert report.candidate_count == 3 ** x_size - 1
-        assert report.bijection_ok is False
-        assert not report.all_pass
+        calls.clear()
+        result = CliRunner().invoke(main, ["yoneda", "roundtrip", "--z-size", "3",
+                                           "--x-size", str(x_size)])
+        assert result.exit_code == 3
+        assert result.stderr.startswith("internal error: the search kept a candidate")
+        assert result.stderr.count("\n") == 1
+        assert result.stdout == ""
 
     @pytest.mark.parametrize("x_size", [1, 2])
     def test_non_natural_kernel_candidate_fails_roundtrip(self, monkeypatch, x_size):
